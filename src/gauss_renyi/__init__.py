@@ -15,7 +15,6 @@ from .exceptions import (
 from .states import (
     GaussianState,
     ThermalParams,
-    as_thermal,
     coherent_state,
     gaussian_transform,
     is_symplectic,
@@ -37,9 +36,7 @@ from .kernel import (
     apply_contraction,
     evaluate_kernel,
     form_matrix,
-    form_normalization,
     kernel_to_state,
-    kernel_trace,
     log_kernel_trace,
     state_to_kernel,
 )
@@ -50,7 +47,6 @@ from .entropy import (
     reduce_to_thermal,
     sandwiched_renyi,
     sandwiched_renyi_sweep,
-    thermal_norm,
 )
 from .recipes import Recipe, recipe_to_state
 
@@ -70,17 +66,14 @@ __all__ = [
     "UnphysicalStateError",
     "WilliamsonForm",
     "apply_contraction",
-    "as_thermal",
     "coherent_state",
     "d_to_t",
     "evaluate_kernel",
     "form_matrix",
-    "form_normalization",
     "fractional_power_contraction",
     "gaussian_transform",
     "is_symplectic",
     "kernel_to_state",
-    "kernel_trace",
     "log_kernel_trace",
     "log_thermal_norm",
     "recipe_to_state",
@@ -93,7 +86,6 @@ __all__ = [
     "symplectic_form",
     "t_to_d",
     "tensor",
-    "thermal_norm",
     "thermal_state",
     "validate_state",
     "williamson_decompose",

@@ -19,13 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AlphaRangeError, DecompositionError, NotFaithfulError
+from .exceptions import AlphaRangeError, NotFaithfulError, UnphysicalStateError
 from .kernel import CoherentKernel, apply_contraction, log_kernel_trace, kernel_to_state, state_to_kernel
-from .states import GaussianState, ThermalParams, gaussian_transform, require_physical
+from .states import GaussianState, ThermalParams, _violations, gaussian_transform, require_physical
 from .williamson import symplectic_eigenvalues, williamson_decompose, d_to_t
-
-#: residue allowed when checking that sigma really maps to its thermal form
-REDUCTION_TOL = 1e-8
 
 #: kernels whose pair block A is below this are treated as pair-free; their
 #: thermal spectrum is then read off Lambda directly (corrections enter at
@@ -42,11 +39,6 @@ def log_thermal_norm(t) -> float:
     t = np.asarray(t if not isinstance(t, ThermalParams) else t.t, dtype=float)
     finite = t[np.isfinite(t)]
     return float(np.sum(np.log(-np.expm1(-finite))))
-
-
-def thermal_norm(t) -> float:
-    """p(t) = prod_j (1 - e^(-t_j)), the ground-state weight of a thermal state."""
-    return float(np.exp(log_thermal_norm(t)))
 
 
 def _check_alpha(alpha: float) -> float:
@@ -75,27 +67,23 @@ def reduce_to_thermal(rho: GaussianState, sigma: GaussianState
                       ) -> tuple[GaussianState, ThermalParams]:
     """Apply the sigma-normalizing Gaussian unitary to rho.
 
-    Returns (rho', s) where the same transform sends sigma exactly to the
-    zero-mean thermal state with ascending parameters s.  Raises
-    NotFaithfulError if sigma has a pure mode and DecompositionError if the
-    internal thermal-form check exceeds tolerance.
+    Returns (rho', s) where the same transform sends sigma to the zero-mean
+    thermal state with ascending parameters s, to within the Williamson
+    diagonalization residue.  sigma's physicality is checked by its own
+    Williamson decomposition, after the checks that need no factorization.
+    Raises UnphysicalStateError for an unphysical rho or sigma and
+    NotFaithfulError if sigma has a pure mode.
     """
     require_physical(rho, "rho")
-    require_physical(sigma, "sigma")
+    violations, form = _violations(sigma, williamson_decompose)
+    if violations:
+        raise UnphysicalStateError("sigma is unphysical: " + "; ".join(violations))
     if rho.n != sigma.n:
         raise ValueError(f"mode mismatch: rho has {rho.n}, sigma has {sigma.n}")
-    form = williamson_decompose(sigma.cov)
     if not np.all(np.isfinite(form.t)):
         raise NotFaithfulError(
             "sigma must be faithful: every symplectic eigenvalue above 1/2; "
             f"got d = {np.array2string(form.d, precision=10)}")
-    sigma_check = gaussian_transform(sigma, form.L, shift=sigma.mean)
-    target = np.diag(np.concatenate([form.d, form.d]))
-    residue = max(float(np.max(np.abs(sigma_check.cov - target))),
-                  float(np.max(np.abs(sigma_check.mean))))
-    if residue > REDUCTION_TOL:
-        raise DecompositionError(
-            f"sigma does not reduce to its thermal form: residue {residue:.3e}")
     rho_prime = gaussian_transform(rho, form.L, shift=sigma.mean)
     return rho_prime, ThermalParams(form.t)
 

@@ -25,7 +25,8 @@ from .states import GaussianState
 KERNEL_SYM_TOL = 1e-12
 #: Lam may dip this far below PSD before we reject it
 LAM_PSD_TOL = 1e-10
-#: minimum eigenvalue of the real form matrix for trace-class operators
+#: minimum squared Cholesky pivot of the real form matrix for trace-class
+#: operators
 FORM_MIN_EIG = 1e-12
 
 
@@ -82,22 +83,24 @@ def form_matrix(A: np.ndarray, lam: np.ndarray, *, negate_a: bool = False) -> np
     return 0.5 * (M + M.T)
 
 
-def form_normalization(A: np.ndarray, lam: np.ndarray) -> float:
-    """sqrt(det M(A, lam)); requires M positive semidefinite."""
-    w = np.linalg.eigvalsh(form_matrix(A, lam))
-    if w.min() < -FORM_MIN_EIG:
-        raise NotTraceClassError(
-            "operator not positive/trace-class in this parametrization: "
-            f"form matrix has eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    if np.any(w == 0.0):
-        return 0.0
-    return float(np.exp(0.5 * np.sum(np.log(w))))
+def _form_cholesky(M: np.ndarray):
+    """Lower Cholesky factor of a form matrix M, or None unless M is positive
+    definite with every squared pivot above FORM_MIN_EIG.
+
+    The factorization is the definiteness test, so no eigensolve runs.  A
+    squared pivot is never below the smallest eigenvalue, so the margin
+    bounds the pivots rather than the spectrum.
+    """
+    try:
+        cho = scipy.linalg.cho_factor(M, lower=True)
+    except np.linalg.LinAlgError:
+        return None
+    return cho if float(np.min(np.diag(cho[0]))) ** 2 > FORM_MIN_EIG else None
 
 
 def log_kernel_trace(kernel: CoherentKernel) -> float:
-    """ln Tr Z for a positive kernel; raises NotTraceClassError if M(A, lam)
-    is not positive definite (minimum eigenvalue guard at 1e-12).
+    """ln Tr Z for a positive kernel; raises NotTraceClassError unless M(A, lam)
+    is positive definite with every squared Cholesky pivot above 1e-12.
 
     Tr Z = c / sqrt(det M) * exp(b . M^{-1} b) with b = (Re mu, -Im mu);
     the sign on the imaginary block comes from the conjugate slot of the
@@ -105,21 +108,15 @@ def log_kernel_trace(kernel: CoherentKernel) -> float:
     never an explicit inverse, and evaluates the determinant in the log
     domain.
     """
-    M = form_matrix(kernel.A, kernel.lam)
-    if np.linalg.eigvalsh(M).min() <= FORM_MIN_EIG:
+    cho = _form_cholesky(form_matrix(kernel.A, kernel.lam))
+    if cho is None:
         raise NotTraceClassError(
             "not trace class: form matrix not positive definite "
             f"(needs min eigenvalue > {FORM_MIN_EIG:.0e})")
-    cho = scipy.linalg.cho_factor(M, lower=True)
     logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
     b = np.concatenate([kernel.mu.real, -kernel.mu.imag])
     quad = float(b @ scipy.linalg.cho_solve(cho, b))
     return float(np.log(kernel.c) - 0.5 * logdet + quad)
-
-
-def kernel_trace(kernel: CoherentKernel) -> float:
-    """Tr Z, see log_kernel_trace."""
-    return float(np.exp(log_kernel_trace(kernel)))
 
 
 def state_to_kernel(state: GaussianState) -> CoherentKernel:
@@ -135,7 +132,8 @@ def state_to_kernel(state: GaussianState) -> CoherentKernel:
               * exp(-|m|^2 + 2 Re(m.A m) + m.lam conj(m))
 
     The mean enters exactly as a displacement acting on the zero-mean
-    kernel, which fixes every conjugation above.
+    kernel, which fixes every conjugation above.  Raises NotTraceClassError
+    when c underflows, which a displacement |m| above about 27 can cause.
     """
     n = state.n
     C = 0.5 * np.eye(2 * n) + state.cov
@@ -157,7 +155,12 @@ def state_to_kernel(state: GaussianState) -> CoherentKernel:
     m = state.mean[:n] + 1j * state.mean[n:]
     mu = m - 2.0 * A.conj() @ m.conj() - lam.conj() @ m
     quad = float((-m.conj() @ m + 2.0 * (m @ A @ m) + m @ lam @ m.conj()).real)
-    c = float(np.exp(-0.5 * logdet + quad))
+    log_c = -0.5 * logdet + quad
+    c = float(np.exp(log_c))
+    if c == 0.0:
+        raise NotTraceClassError(
+            f"kernel scale c = exp({log_c:.6g}) underflows to 0 in double precision, "
+            "whose limit is ln c > -745; the displacement is too large")
     return CoherentKernel(c=c, mu=mu, A=A, lam=lam)
 
 
@@ -166,25 +169,21 @@ def kernel_to_state(kernel: CoherentKernel) -> GaussianState:
 
     S = M(-A, lam)^{-1} - I/2, and the mean inverts the displacement map
     of state_to_kernel: m_r = Xi M(A, lam)^{-1} Xi mu_r where Xi negates
-    the imaginary block.  Raises UnphysicalStateError when either form
-    matrix is singular or indefinite.
+    the imaginary block.  Since M(A, lam) = J M(-A, lam) J^T exactly and
+    Xi J = J^T Xi = P swaps the two blocks, m_r = P M(-A, lam)^{-1} P mu_r,
+    so one Cholesky factor gives both.  Raises UnphysicalStateError when
+    the form matrix is singular or indefinite.
     """
     n = kernel.n
-    N = form_matrix(kernel.A, kernel.lam, negate_a=True)
-    if np.linalg.eigvalsh(N).min() <= FORM_MIN_EIG:
+    cho = _form_cholesky(form_matrix(kernel.A, kernel.lam, negate_a=True))
+    if cho is None:
         raise UnphysicalStateError(
             "kernel parameters do not describe a normalizable gaussian state")
-    cho = scipy.linalg.cho_factor(N, lower=True)
-    cov = scipy.linalg.cho_solve(cho, np.eye(2 * n)) - 0.5 * np.eye(2 * n)
-    cov = 0.5 * (cov + cov.T)
-    P = form_matrix(kernel.A, kernel.lam)
-    if np.linalg.eigvalsh(P).min() <= FORM_MIN_EIG:
-        raise UnphysicalStateError(
-            "kernel parameters do not describe a normalizable gaussian state")
-    xi_mu = np.concatenate([kernel.mu.real, -kernel.mu.imag])
-    sol = np.linalg.solve(P, xi_mu)
-    mean = np.concatenate([sol[:n], -sol[n:]])
-    return GaussianState(mean, cov)
+    inv = scipy.linalg.cho_solve(cho, np.eye(2 * n))
+    cov = inv - 0.5 * np.eye(2 * n)
+    swapped = inv @ np.concatenate([kernel.mu.imag, kernel.mu.real])
+    mean = np.concatenate([swapped[n:], swapped[:n]])
+    return GaussianState(mean, 0.5 * (cov + cov.T))
 
 
 def apply_contraction(kernel: CoherentKernel, k: np.ndarray) -> CoherentKernel:

@@ -99,17 +99,6 @@ class ThermalParams:
     def n(self) -> int:
         return self.t.size
 
-    def all_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.t)))
-
-
-def as_thermal(t) -> ThermalParams:
-    """Coerce a scalar, sequence or ThermalParams into ThermalParams."""
-    if isinstance(t, ThermalParams):
-        return t
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    return ThermalParams(arr)
-
 
 def is_symplectic(L: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
     """Check L^T J L = J to within tol (max-abs residue)."""
@@ -126,27 +115,41 @@ def validate_state(state: GaussianState, *, tol_sym: float = SYMMETRY_TOL,
     Checks: finite entries, covariance symmetry, positive definiteness and
     the Heisenberg bound (all symplectic eigenvalues >= 1/2 - tol_phys).
     """
+    from .williamson import symplectic_eigenvalues  # deferred, avoids an import cycle
+
+    violations, d = _violations(state, symplectic_eigenvalues, tol_sym)
+    if d is not None and float(d.min()) < 0.5 - tol_phys:
+        violations.append(f"symplectic eigenvalue {float(d.min()):.6g} < 0.5 (Heisenberg bound)")
+    return violations
+
+
+def _violations(state: GaussianState, factorize, tol_sym: float = SYMMETRY_TOL):
+    """Violations found without a factorization, then those found by factorize(cov).
+
+    factorize runs once cov is finite and symmetric; a
+    williamson._NotPositiveDefinite or UnphysicalStateError it raises
+    becomes a violation.  Returns (violations, its result), the result
+    being None when it did not run or raised.
+    """
+    from .williamson import _NotPositiveDefinite
+
     violations: list[str] = []
     if not np.all(np.isfinite(state.mean)):
         violations.append("mean has non-finite entries")
     if not np.all(np.isfinite(state.cov)):
         violations.append("cov has non-finite entries")
-        return violations
+        return violations, None
     asym = float(np.max(np.abs(state.cov - state.cov.T)))
     if asym > tol_sym:
         violations.append(f"cov not symmetric: max asymmetry {asym:.3e} > {tol_sym:.0e}")
-        return violations
-    eig_min = float(np.linalg.eigvalsh(state.cov).min())
-    if eig_min <= 0.0:
-        violations.append(f"cov not positive definite: min eigenvalue {eig_min:.3e}")
-        return violations
-    from .williamson import symplectic_eigenvalues  # deferred, avoids an import cycle
-
-    d = symplectic_eigenvalues(state.cov)
-    d_min = float(d.min())
-    if d_min < 0.5 - tol_phys:
-        violations.append(f"symplectic eigenvalue {d_min:.6g} < 0.5 (Heisenberg bound)")
-    return violations
+        return violations, None
+    try:
+        return violations, factorize(state.cov)
+    except _NotPositiveDefinite as exc:
+        violations.append(f"cov not positive definite: min eigenvalue {exc.min_eig:.3e}")
+    except UnphysicalStateError as exc:
+        violations.append(str(exc))
+    return violations, None
 
 
 def require_physical(state: GaussianState, label: str = "state") -> None:

@@ -4,6 +4,12 @@ Any real symmetric positive definite 2n x 2n matrix S can be brought to
 diagonal form D = diag(d_1..d_n, d_1..d_n) by a symplectic congruence
 L^T S L = D.  For a physical covariance the d_j are >= 1/2 and map to
 per-mode thermal parameters t_j via d = coth(t/2)/2.
+
+Both the spectrum d and the congruence L come from two hermitian
+eigensolves: one of S, which is also its positive-definiteness test and
+gives S^{1/2} and S^{-1/2}, and one of i S^{1/2} J S^{1/2}, whose
+eigenvalues are +-d_j and whose +d_j eigenvectors span the symplectic
+basis.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import DecompositionError, UnphysicalStateError
 from .states import PURE_TOL, PHYSICAL_TOL, SYMPLECTIC_TOL, symplectic_form
@@ -20,23 +25,55 @@ from .states import PURE_TOL, PHYSICAL_TOL, SYMPLECTIC_TOL, symplectic_form
 DIAG_TOL = 1e-8
 
 
+class _NotPositiveDefinite(DecompositionError):
+    """The matrix is not positive definite; min_eig is its smallest eigenvalue."""
+
+    def __init__(self, min_eig: float) -> None:
+        super().__init__(f"matrix not positive definite: min eigenvalue {min_eig:.3e}")
+        self.min_eig = min_eig
+
+
 def _check_symmetric(S: np.ndarray) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2:
         raise ValueError(f"expected a 2n x 2n matrix, got shape {S.shape}")
+    if not np.all(np.isfinite(S)):
+        raise ValueError("array must not contain infs or NaNs")
     asym = float(np.max(np.abs(S - S.T)))
     if asym > SYMPLECTIC_TOL:
         raise DecompositionError(f"matrix not symmetric: max asymmetry {asym:.3e}")
     return 0.5 * (S + S.T)
 
 
-def _sym_power(S: np.ndarray, power: float) -> np.ndarray:
-    """Fractional power of a symmetric positive definite matrix via eigh."""
+def _spectrum(S: np.ndarray, vectors: bool = False):
+    """Symplectic eigenvalues d of a symmetric S, descending, and optionally L.
+
+    Returns (d, L), where with vectors=True L is the congruence of the
+    normal form, and None otherwise.  With V the +d eigenvectors of
+    i S^{1/2} J S^{1/2}, L = S^{-1/2} [sqrt2 Im V, sqrt2 Re V] diag(sqrt d,
+    sqrt d); the real and imaginary parts of each V column are orthogonal
+    with equal norms, so L^T J L = J, and taking Im V as the q block is the
+    order that gives +J rather than -J.  Any orthonormal basis of a
+    degenerate eigenspace works.  Each column's phase is fixed so that its
+    largest-modulus entry is positive imaginary, which makes L
+    deterministic.  Raises _NotPositiveDefinite when S is not.
+    """
     w, v = np.linalg.eigh(S)
-    if w.min() <= 0.0:
-        raise DecompositionError(
-            f"matrix not positive definite: min eigenvalue {w.min():.3e}")
-    return (v * w ** power) @ v.T
+    if w[0] <= 0.0:
+        raise _NotPositiveDefinite(float(w[0]))
+    n = S.shape[0] // 2
+    root = (v * np.sqrt(w)) @ v.T
+    skew = root @ symplectic_form(n) @ root
+    herm = 0.5j * (skew - skew.T)
+    if not vectors:
+        return np.linalg.eigvalsh(herm)[::-1][:n], None
+    ev, V = np.linalg.eigh(herm)
+    d, V = ev[::-1][:n], V[:, ::-1][:, :n]
+    top = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
+    V = V * (1j * top.conj() / np.abs(top))
+    inv_root = (v / np.sqrt(w)) @ v.T
+    scale = np.sqrt(2.0 * np.concatenate([d, d]))
+    return d, inv_root @ (np.hstack([V.imag, V.real]) * scale)
 
 
 def d_to_t(d, pure_tol: float = PURE_TOL):
@@ -70,12 +107,7 @@ def symplectic_eigenvalues(S: np.ndarray) -> np.ndarray:
     i * S^{1/2} J S^{1/2}, which is numerically stable and keeps the
     result exactly real.
     """
-    S = _check_symmetric(S)
-    n = S.shape[0] // 2
-    root = _sym_power(S, 0.5)
-    skew = root @ symplectic_form(n) @ root
-    ev = np.linalg.eigvalsh(1j * (skew - skew.T) * 0.5)
-    return np.sort(ev)[::-1][:n]
+    return _spectrum(_check_symmetric(S))[0]
 
 
 @dataclass(frozen=True)
@@ -90,56 +122,21 @@ class WilliamsonForm:
     t: np.ndarray
 
 
-def williamson_decompose(S: np.ndarray, *, pure_tol: float = PURE_TOL) -> WilliamsonForm:
+def williamson_decompose(S: np.ndarray) -> WilliamsonForm:
     """Compute the Williamson normal form of a physical covariance matrix.
 
-    The congruence matrix is assembled from the real Schur form of the
-    skew-symmetric S^{1/2} J S^{1/2}; degenerate symplectic eigenvalues are
-    handled by the Schur factorization itself.  Raises DecompositionError
-    if the symplectic or diagonalization residues exceed tolerance.
+    The congruence matrix is read off the eigenvectors of the hermitian
+    i S^{1/2} J S^{1/2} (see _spectrum), so degenerate symplectic
+    eigenvalues need no special handling.  Raises DecompositionError if S
+    is not positive definite or the symplectic or diagonalization residues
+    exceed tolerance, and UnphysicalStateError below the Heisenberg bound.
     """
     S = _check_symmetric(S)
     n = S.shape[0] // 2
+    d, L = _spectrum(S, vectors=True)
+    t = d_to_t(d)  # raises UnphysicalStateError below the Heisenberg bound
+
     J = symplectic_form(n)
-    root = _sym_power(S, 0.5)
-    inv_root = _sym_power(S, -0.5)
-    skew = root @ J @ root
-    skew = 0.5 * (skew - skew.T)
-
-    T, Q = scipy.linalg.schur(skew, output="real")
-
-    # The Schur form of a skew-symmetric matrix is block diagonal with
-    # 2 x 2 blocks [[0, d], [-d, 0]]; normalize each block's sign and sort
-    # the pairs by descending d.
-    d_pairs = np.empty(n)
-    cols = np.empty((2 * n, 2 * n))
-    for j in range(n):
-        b = 0.5 * (T[2 * j, 2 * j + 1] - T[2 * j + 1, 2 * j])
-        q0, q1 = Q[:, 2 * j], Q[:, 2 * j + 1]
-        if b < 0:
-            b, q0, q1 = -b, q1, q0
-        d_pairs[j] = b
-        cols[:, 2 * j], cols[:, 2 * j + 1] = q0, q1
-    order = np.argsort(-d_pairs, kind="stable")
-    d = d_pairs[order]
-    if float(d.min()) < 0.5 - PHYSICAL_TOL:
-        raise UnphysicalStateError(
-            f"symplectic eigenvalue {float(d.min()):.6g} < 0.5 (Heisenberg bound)")
-
-    perm = np.empty((2 * n, 2 * n))
-    scale = np.empty(2 * n)
-    for k, j in enumerate(order):
-        perm[:, 2 * k: 2 * k + 2] = cols[:, 2 * j: 2 * j + 2]
-        scale[2 * k: 2 * k + 2] = np.sqrt(d_pairs[j])
-    L_interleaved = inv_root @ (perm * scale)
-
-    # reorder coordinates from (q1, p1, q2, p2, ...) to (q..., p...)
-    to_block = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        to_block[2 * k, k] = 1.0
-        to_block[2 * k + 1, n + k] = 1.0
-    L = L_interleaved @ to_block
-
     res_j = float(np.max(np.abs(L.T @ J @ L - J)))
     if res_j > SYMPLECTIC_TOL:
         raise DecompositionError(
@@ -150,7 +147,6 @@ def williamson_decompose(S: np.ndarray, *, pure_tol: float = PURE_TOL) -> Willia
     if res_d > DIAG_TOL:
         raise DecompositionError(f"diagonalization residue {res_d:.3e} > {DIAG_TOL:.0e}")
 
-    t = d_to_t(d, pure_tol=pure_tol)
     d.flags.writeable = False
     t.flags.writeable = False
     L.flags.writeable = False

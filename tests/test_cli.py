@@ -222,3 +222,47 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("obj", [
+    {"n": 1, "mean": [0, 0], "cov": [[0.3, 0], [0, 0.3]]},
+    {"n": 1, "mean": [0, 0], "cov": [[1.0, 1e-3], [0, 1.0]]},
+    {"n": 1, "mean": [0, 0], "cov": [[1.0, 0], [0, -1.0]]},
+    {"n": 1, "mean": ["inf", 0], "cov": [[1.0, 0], [0, 1.0]]},
+])
+def test_unphysical_sigma_exit_2(states, capsys, tmp_path, obj):
+    bad = write(tmp_path, "bad_sigma.json", obj)
+    code, _, err = run(capsys, ["entropy", "--alpha", "0.5", states["rho"], bad])
+    assert code == 2
+    assert "sigma is unphysical" in err
+
+
+def cli_process(*argv):
+    """Run ``python -m gauss_renyi.cli`` in a child process with this package importable."""
+    import os
+    import subprocess
+    import sys
+
+    import gauss_renyi
+
+    src = os.path.dirname(os.path.dirname(gauss_renyi.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "gauss_renyi.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_runs(states):
+    proc = cli_process("entropy", "--alpha", "0.5", "--format", "json",
+                       states["rho"], states["sigma"])
+    assert proc.returncode == 0, proc.stderr
+    assert abs(json.loads(proc.stdout)["divergence"] - 0.108299916535) < 1e-9
+
+
+def test_large_displacement_exit_2_without_traceback(states, tmp_path):
+    far = write(tmp_path, "far.json", {"coherent": [[30.0, 0.0]]})
+    sigma = write(tmp_path, "thermal1.json", {"thermal": [1.0]})
+    proc = cli_process("entropy", "--alpha", "0.5", far, sigma)
+    assert proc.returncode == 2
+    assert "underflows" in proc.stderr
+    assert "Traceback" not in proc.stderr

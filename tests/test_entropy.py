@@ -8,10 +8,9 @@ import pytest
 from helpers import analytic_coherent_thermal, series_thermal_divergence
 from gauss_renyi.entropy import (EntropyReport, fractional_power_contraction,
                                  log_thermal_norm, reduce_to_thermal,
-                                 sandwiched_renyi, sandwiched_renyi_sweep,
-                                 thermal_norm)
+                                 sandwiched_renyi, sandwiched_renyi_sweep)
 from gauss_renyi.exceptions import (AlphaRangeError, NotFaithfulError,
-                                    UnphysicalStateError)
+                                    NotTraceClassError, UnphysicalStateError)
 from gauss_renyi.sampling import random_faithful_state, random_symplectic
 from gauss_renyi.states import (GaussianState, coherent_state,
                                 gaussian_transform, tensor, thermal_state)
@@ -165,7 +164,7 @@ def test_alpha_domain(alpha):
 
 
 def test_thermal_norm_values():
-    assert np.isclose(thermal_norm(LN2), 0.5, atol=1e-15)
+    assert np.isclose(math.exp(log_thermal_norm(LN2)), 0.5, atol=1e-15)
     assert log_thermal_norm([math.inf, math.inf]) == 0.0
     assert np.isclose(log_thermal_norm([LN2, 2 * LN2]),
                       math.log(0.5) + math.log(0.75), atol=1e-14)
@@ -193,3 +192,26 @@ def test_displaced_reference_handled(rng):
     d0 = sandwiched_renyi(rho, sigma_base, 0.5).divergence
     d1 = sandwiched_renyi(rho_moved, sigma, 0.5).divergence
     assert abs(d0 - d1) < 1e-10
+
+
+@pytest.mark.parametrize("mean,cov", [
+    ([0.0, 0.0], [[0.3, 0.0], [0.0, 0.3]]),          # below the Heisenberg bound
+    ([0.0, 0.0], [[1.0, 1e-3], [0.0, 1.0]]),         # not symmetric
+    ([0.0, 0.0], [[1.0, 0.0], [0.0, -1.0]]),         # not positive definite
+    ([np.nan, 0.0], [[1.0, 0.0], [0.0, 1.0]]),       # non-finite mean
+])
+def test_unphysical_sigma_rejected(mean, cov):
+    sigma = GaussianState(np.array(mean), np.array(cov))
+    with pytest.raises(UnphysicalStateError, match="^sigma is unphysical: "):
+        sandwiched_renyi(thermal_state(1.0), sigma, 0.5)
+    with pytest.raises(UnphysicalStateError, match="^sigma is unphysical: "):
+        sandwiched_renyi_sweep(thermal_state(1.0), sigma, [0.3, 0.7])
+
+
+def test_large_displacement_is_a_domain_error():
+    # |gamma| = 20 is still exact; at 30 the kernel scale c underflows
+    exact = analytic_coherent_thermal(20.0, 1.0, 0.5)
+    assert np.isclose(sandwiched_renyi(coherent_state(20.0), thermal_state(1.0), 0.5).divergence,
+                      exact, rtol=1e-12)
+    with pytest.raises(NotTraceClassError, match="underflows"):
+        sandwiched_renyi(coherent_state(30.0), thermal_state(1.0), 0.5)
