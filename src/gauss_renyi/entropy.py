@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AlphaRangeError, NotFaithfulError, UnphysicalStateError
+from .exceptions import AlphaRangeError, NotFaithfulError
 from .kernel import CoherentKernel, apply_contraction, log_kernel_trace, kernel_to_state, state_to_kernel
-from .states import GaussianState, ThermalParams, _violations, gaussian_transform, require_physical
+from .states import (GaussianState, ThermalParams, _require_factorized, gaussian_transform,
+                     require_physical)
 from .williamson import symplectic_eigenvalues, williamson_decompose, d_to_t
 
 #: kernels whose pair block A is below this are treated as pair-free; their
@@ -75,9 +76,7 @@ def reduce_to_thermal(rho: GaussianState, sigma: GaussianState
     NotFaithfulError if sigma has a pure mode.
     """
     require_physical(rho, "rho")
-    violations, form = _violations(sigma, williamson_decompose)
-    if violations:
-        raise UnphysicalStateError("sigma is unphysical: " + "; ".join(violations))
+    form = _require_factorized(sigma, "sigma", williamson_decompose)
     if rho.n != sigma.n:
         raise ValueError(f"mode mismatch: rho has {rho.n}, sigma has {sigma.n}")
     if not np.all(np.isfinite(form.t)):
@@ -106,19 +105,6 @@ class EntropyReport:
     p_tZ: float
     p_alpha_tZ: float
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "divergence": self.divergence,
-            "T_alpha": self.T_alpha,
-            "trace_Z": self.trace_Z,
-            "s": list(self.s),
-            "t_Z": list(self.t_Z),
-            "p_s": self.p_s,
-            "p_tZ": self.p_tZ,
-            "p_alpha_tZ": self.p_alpha_tZ,
-        }
-
 
 def _contracted_thermal_parameters(z: CoherentKernel) -> np.ndarray:
     """Thermal parameters t_Z of the contracted sandwich, ascending.
@@ -128,7 +114,8 @@ def _contracted_thermal_parameters(z: CoherentKernel) -> np.ndarray:
     block A the eigenvalues of Lambda are e^(-t_Z) directly and keep full
     relative precision at any size; the fallback goes through the
     covariance, whose spectral gap above 1/2 resolves e^(-t_Z) only down
-    to the eigensolver noise floor.
+    to the eigensolver noise floor.  That covariance comes from the form
+    matrix's Cholesky factor that log_kernel_trace has already taken.
     """
     if (float(np.max(np.abs(z.A))) <= PAIR_FREE_GATE
             and float(np.linalg.norm(z.lam, 2)) <= LAMBDA_GATE):

@@ -14,12 +14,13 @@ and their traces all have closed forms in this parametrization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .exceptions import NotTraceClassError, UnphysicalStateError
-from .states import GaussianState
+from .states import GaussianState, symplectic_form
 
 #: max asymmetry / non-hermiticity accepted in kernel matrices
 KERNEL_SYM_TOL = 1e-12
@@ -52,50 +53,51 @@ class CoherentKernel:
             raise ValueError("kernel matrix lam must be hermitian")
         if np.linalg.eigvalsh(lam).min() < -LAM_PSD_TOL:
             raise ValueError("kernel matrix lam must be positive semidefinite")
-        for name, arr in (("mu", mu), ("A", A), ("lam", lam)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "c", float(self.c))
+        _set_fields(self, self.c, mu, A, lam)
 
     @property
     def n(self) -> int:
         return self.mu.size
 
+    @cached_property
+    def _form_factor(self):
+        """Lower Cholesky factor of M(A, lam), shared by the trace and the
+        state, or None unless M is positive definite with every squared
+        pivot above FORM_MIN_EIG.  The factorization is the definiteness test,
+        so no eigensolve runs; a squared pivot is never below the smallest
+        eigenvalue, so the margin bounds the pivots rather than the spectrum.
+        """
+        try:
+            cho = scipy.linalg.cho_factor(form_matrix(self.A, self.lam), lower=True)
+        except np.linalg.LinAlgError:
+            return None
+        return cho if float(np.min(np.diag(cho[0]))) ** 2 > FORM_MIN_EIG else None
 
-def form_matrix(A: np.ndarray, lam: np.ndarray, *, negate_a: bool = False) -> np.ndarray:
+
+def _set_fields(kernel: CoherentKernel, c, mu, A, lam) -> None:
+    for name, arr in (("mu", mu), ("A", A), ("lam", lam)):
+        arr.flags.writeable = False
+        object.__setattr__(kernel, name, arr)
+    object.__setattr__(kernel, "c", float(c))
+
+
+def form_matrix(A: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Real symmetric 2n x 2n quadratic-form matrix of a kernel.
 
     M = I - [[Re lam, -Im lam], [Im lam, Re lam]]
           - 2 [[Re A, Im A], [Im A, -Re A]]
 
-    With negate_a=True the sign of A is flipped; that variant is the one
-    whose inverse recovers the state's moments.
+    M(-A, lam) = J^T M(A, lam) J, whose inverse recovers the state's moments.
     """
     A = np.asarray(A, dtype=complex)
     lam = np.asarray(lam, dtype=complex)
     n = A.shape[0]
-    sign = -1.0 if negate_a else 1.0
     M = np.eye(2 * n)
-    M[:n, :n] -= lam.real + 2.0 * sign * A.real
-    M[:n, n:] -= -lam.imag + 2.0 * sign * A.imag
-    M[n:, :n] -= lam.imag + 2.0 * sign * A.imag
-    M[n:, n:] -= lam.real - 2.0 * sign * A.real
+    M[:n, :n] -= lam.real + 2.0 * A.real
+    M[:n, n:] -= -lam.imag + 2.0 * A.imag
+    M[n:, :n] -= lam.imag + 2.0 * A.imag
+    M[n:, n:] -= lam.real - 2.0 * A.real
     return 0.5 * (M + M.T)
-
-
-def _form_cholesky(M: np.ndarray):
-    """Lower Cholesky factor of a form matrix M, or None unless M is positive
-    definite with every squared pivot above FORM_MIN_EIG.
-
-    The factorization is the definiteness test, so no eigensolve runs.  A
-    squared pivot is never below the smallest eigenvalue, so the margin
-    bounds the pivots rather than the spectrum.
-    """
-    try:
-        cho = scipy.linalg.cho_factor(M, lower=True)
-    except np.linalg.LinAlgError:
-        return None
-    return cho if float(np.min(np.diag(cho[0]))) ** 2 > FORM_MIN_EIG else None
 
 
 def log_kernel_trace(kernel: CoherentKernel) -> float:
@@ -105,10 +107,10 @@ def log_kernel_trace(kernel: CoherentKernel) -> float:
     Tr Z = c / sqrt(det M) * exp(b . M^{-1} b) with b = (Re mu, -Im mu);
     the sign on the imaginary block comes from the conjugate slot of the
     coherent-vector resolution of the identity.  Uses a Cholesky solve,
-    never an explicit inverse, and evaluates the determinant in the log
-    domain.
+    never an explicit inverse (the factor is kept for kernel_to_state), and
+    evaluates the determinant in the log domain.
     """
-    cho = _form_cholesky(form_matrix(kernel.A, kernel.lam))
+    cho = kernel._form_factor
     if cho is None:
         raise NotTraceClassError(
             "not trace class: form matrix not positive definite "
@@ -167,22 +169,22 @@ def state_to_kernel(state: GaussianState) -> CoherentKernel:
 def kernel_to_state(kernel: CoherentKernel) -> GaussianState:
     """Recover (mean, covariance) from a normalizable Gaussian kernel.
 
-    S = M(-A, lam)^{-1} - I/2, and the mean inverts the displacement map
-    of state_to_kernel: m_r = Xi M(A, lam)^{-1} Xi mu_r where Xi negates
-    the imaginary block.  Since M(A, lam) = J M(-A, lam) J^T exactly and
-    Xi J = J^T Xi = P swaps the two blocks, m_r = P M(-A, lam)^{-1} P mu_r,
-    so one Cholesky factor gives both.  Raises UnphysicalStateError when
-    the form matrix is singular or indefinite.
+    S = M(-A, lam)^{-1} - I/2 = J^T M(A, lam)^{-1} J - I/2, since
+    M(-A, lam) = J^T M(A, lam) J exactly, and the mean inverts the
+    displacement map of state_to_kernel: m_r = Xi M(A, lam)^{-1} Xi mu_r
+    where Xi negates the imaginary block.  Both come from the Cholesky
+    factor of M(A, lam) that log_kernel_trace shares.  Raises
+    UnphysicalStateError when the form matrix is singular or indefinite.
     """
     n = kernel.n
-    cho = _form_cholesky(form_matrix(kernel.A, kernel.lam, negate_a=True))
+    cho = kernel._form_factor
     if cho is None:
         raise UnphysicalStateError(
             "kernel parameters do not describe a normalizable gaussian state")
     inv = scipy.linalg.cho_solve(cho, np.eye(2 * n))
-    cov = inv - 0.5 * np.eye(2 * n)
-    swapped = inv @ np.concatenate([kernel.mu.imag, kernel.mu.real])
-    mean = np.concatenate([swapped[n:], swapped[:n]])
+    J, xi = symplectic_form(n), np.repeat([1.0, -1.0], n)
+    cov = J.T @ inv @ J - 0.5 * np.eye(2 * n)
+    mean = xi * (inv @ (xi * np.concatenate([kernel.mu.real, kernel.mu.imag])))
     return GaussianState(mean, 0.5 * (cov + cov.T))
 
 
@@ -191,7 +193,8 @@ def apply_contraction(kernel: CoherentKernel, k: np.ndarray) -> CoherentKernel:
 
     Gamma(K) is the second quantization of K = diag(k); sandwiching maps
     (c, mu, A, lam) to (c, K mu, K A K, K lam K).  Entries of k must lie
-    in [0, 1].
+    in [0, 1].  A real diagonal K keeps A symmetric and lam hermitian PSD,
+    so CoherentKernel's checks and their eigensolve are not run again.
     """
     k = np.asarray(k, dtype=float).reshape(-1)
     if k.size != kernel.n:
@@ -199,8 +202,9 @@ def apply_contraction(kernel: CoherentKernel, k: np.ndarray) -> CoherentKernel:
     if np.any(k < 0.0) or np.any(k > 1.0 + 1e-12):
         raise ValueError(f"contraction violation: diagonal entries must be in [0, 1], got {k}")
     outer = np.outer(k, k)
-    return CoherentKernel(c=kernel.c, mu=k * kernel.mu,
-                          A=outer * kernel.A, lam=outer * kernel.lam)
+    z = object.__new__(CoherentKernel)
+    _set_fields(z, kernel.c, k * kernel.mu, outer * kernel.A, outer * kernel.lam)
+    return z
 
 
 def evaluate_kernel(kernel: CoherentKernel, u: np.ndarray, v: np.ndarray) -> complex:

@@ -36,10 +36,6 @@ def symplectic_form(n: int) -> np.ndarray:
     return j
 
 
-def _block_swap_indices(n: int) -> np.ndarray:
-    return np.concatenate([np.arange(n, 2 * n), np.arange(n)])
-
-
 def _as_real_vector(x, length: int, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.shape != (length,):
@@ -152,6 +148,15 @@ def _violations(state: GaussianState, factorize, tol_sym: float = SYMMETRY_TOL):
     return violations, None
 
 
+def _require_factorized(state: GaussianState, label: str, factorize):
+    """factorize(cov) as the physicality check: raises UnphysicalStateError
+    ("<label> is unphysical: ...") naming every violation _violations finds."""
+    violations, result = _violations(state, factorize)
+    if violations:
+        raise UnphysicalStateError(f"{label} is unphysical: " + "; ".join(violations))
+    return result
+
+
 def require_physical(state: GaussianState, label: str = "state") -> None:
     """Raise UnphysicalStateError if validate_state finds violations."""
     violations = validate_state(state)
@@ -223,7 +228,7 @@ def gaussian_transform(state: GaussianState, L: np.ndarray,
     if L.shape != (2 * n, 2 * n):
         raise ValueError(f"L must have shape {(2 * n, 2 * n)}, got {L.shape}")
     delta = state.mean if shift is None else state.mean - _as_real_vector(shift, 2 * n, "shift")
-    swap = _block_swap_indices(n)
+    swap = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
     mean = (L.T @ delta[swap])[swap]
     cov = L.T @ state.cov @ L
     return GaussianState(mean, 0.5 * (cov + cov.T))

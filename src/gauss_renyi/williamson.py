@@ -5,11 +5,10 @@ diagonal form D = diag(d_1..d_n, d_1..d_n) by a symplectic congruence
 L^T S L = D.  For a physical covariance the d_j are >= 1/2 and map to
 per-mode thermal parameters t_j via d = coth(t/2)/2.
 
-Both the spectrum d and the congruence L come from two hermitian
-eigensolves: one of S, which is also its positive-definiteness test and
-gives S^{1/2} and S^{-1/2}, and one of i S^{1/2} J S^{1/2}, whose
-eigenvalues are +-d_j and whose +d_j eigenvectors span the symplectic
-basis.
+Both the spectrum d and the congruence L come from one Cholesky factor
+S = R R^T, which is also the positive-definiteness test, and one
+hermitian eigensolve of i R^T J R, whose eigenvalues are +-d_j and whose
++d_j eigenvectors span the symplectic basis.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .exceptions import DecompositionError, UnphysicalStateError
 from .states import PURE_TOL, PHYSICAL_TOL, SYMPLECTIC_TOL, symplectic_form
@@ -48,22 +48,22 @@ def _check_symmetric(S: np.ndarray) -> np.ndarray:
 def _spectrum(S: np.ndarray, vectors: bool = False):
     """Symplectic eigenvalues d of a symmetric S, descending, and optionally L.
 
-    Returns (d, L), where with vectors=True L is the congruence of the
-    normal form, and None otherwise.  With V the +d eigenvectors of
-    i S^{1/2} J S^{1/2}, L = S^{-1/2} [sqrt2 Im V, sqrt2 Re V] diag(sqrt d,
-    sqrt d); the real and imaginary parts of each V column are orthogonal
-    with equal norms, so L^T J L = J, and taking Im V as the q block is the
-    order that gives +J rather than -J.  Any orthonormal basis of a
-    degenerate eigenspace works.  Each column's phase is fixed so that its
-    largest-modulus entry is positive imaginary, which makes L
-    deterministic.  Raises _NotPositiveDefinite when S is not.
+    Returns (d, L), L the congruence of the normal form if vectors, else None.
+    With S = R R^T (Cholesky), R = S^{1/2} Q for an orthogonal Q, so i R^T J R
+    has the spectrum +-d of i S^{1/2} J S^{1/2}.  With V its +d eigenvectors,
+    L = R^{-T} [sqrt2 Im V, sqrt2 Re V] diag(sqrt d, sqrt d): Re and Im of each
+    column are orthogonal with equal norms, so L^T J L = J (Im V as the q block
+    gives +J, not -J), and any orthonormal basis of a degenerate eigenspace
+    works.  Each column's phase makes its largest-modulus entry positive
+    imaginary, so L is deterministic.  Raises _NotPositiveDefinite when the
+    Cholesky fails; only then is the smallest eigenvalue computed.
     """
-    w, v = np.linalg.eigh(S)
-    if w[0] <= 0.0:
-        raise _NotPositiveDefinite(float(w[0]))
+    try:
+        R = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        raise _NotPositiveDefinite(float(np.linalg.eigvalsh(S)[0])) from None
     n = S.shape[0] // 2
-    root = (v * np.sqrt(w)) @ v.T
-    skew = root @ symplectic_form(n) @ root
+    skew = R.T @ np.concatenate([R[n:], -R[:n]])  # J R: R's row blocks swapped, one negated
     herm = 0.5j * (skew - skew.T)
     if not vectors:
         return np.linalg.eigvalsh(herm)[::-1][:n], None
@@ -71,9 +71,9 @@ def _spectrum(S: np.ndarray, vectors: bool = False):
     d, V = ev[::-1][:n], V[:, ::-1][:, :n]
     top = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
     V = V * (1j * top.conj() / np.abs(top))
-    inv_root = (v / np.sqrt(w)) @ v.T
     scale = np.sqrt(2.0 * np.concatenate([d, d]))
-    return d, inv_root @ (np.hstack([V.imag, V.real]) * scale)
+    return d, scipy.linalg.solve_triangular(R, np.hstack([V.imag, V.real]) * scale,
+                                            trans="T", lower=True)
 
 
 def d_to_t(d, pure_tol: float = PURE_TOL):
@@ -103,9 +103,9 @@ def t_to_d(t):
 def symplectic_eigenvalues(S: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a symmetric positive definite S, sorted descending.
 
-    Computed as the positive eigenvalues of the hermitian matrix
-    i * S^{1/2} J S^{1/2}, which is numerically stable and keeps the
-    result exactly real.
+    Computed as the positive eigenvalues of the hermitian matrix i R^T J R,
+    with R the Cholesky factor of S, which is numerically stable and keeps
+    the result exactly real.
     """
     return _spectrum(_check_symmetric(S))[0]
 
@@ -126,7 +126,7 @@ def williamson_decompose(S: np.ndarray) -> WilliamsonForm:
     """Compute the Williamson normal form of a physical covariance matrix.
 
     The congruence matrix is read off the eigenvectors of the hermitian
-    i S^{1/2} J S^{1/2} (see _spectrum), so degenerate symplectic
+    i R^T J R, with S = R R^T (see _spectrum), so degenerate symplectic
     eigenvalues need no special handling.  Raises DecompositionError if S
     is not positive definite or the symplectic or diagonalization residues
     exceed tolerance, and UnphysicalStateError below the Heisenberg bound.

@@ -153,6 +153,16 @@ def test_williamson_thermal_ln2(states, capsys):
     assert np.allclose(L.T @ (1.5 * np.eye(2)) @ L, 1.5 * np.eye(2), atol=1e-9)
 
 
+def test_williamson_non_finite_cov_exit_2(capsys, tmp_path):
+    bad = write(tmp_path, "inf_cov.json",
+                {"n": 1, "mean": [0, 0], "cov": [["inf", 0], [0, 1.0]]})
+    code, out, err = run(capsys, ["williamson", bad])
+    assert code == 2
+    assert out == ""
+    assert "state is unphysical: cov has non-finite entries" in err
+    assert "Traceback" not in err
+
+
 def test_convert_coherent_kernel(states, capsys):
     code, out, _ = run(capsys, ["convert", states["coherent"],
                                 "--format", "json"])

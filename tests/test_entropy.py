@@ -1,6 +1,7 @@
 """Closed-form divergence pipeline: frozen values, invariances, error paths."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,18 +195,36 @@ def test_displaced_reference_handled(rng):
     assert abs(d0 - d1) < 1e-10
 
 
-@pytest.mark.parametrize("mean,cov", [
-    ([0.0, 0.0], [[0.3, 0.0], [0.0, 0.3]]),          # below the Heisenberg bound
-    ([0.0, 0.0], [[1.0, 1e-3], [0.0, 1.0]]),         # not symmetric
-    ([0.0, 0.0], [[1.0, 0.0], [0.0, -1.0]]),         # not positive definite
-    ([np.nan, 0.0], [[1.0, 0.0], [0.0, 1.0]]),       # non-finite mean
-])
+#: bad (mean, cov) inputs, keyed by the violation their message names
+UNPHYSICAL = {
+    "Heisenberg bound": ([0.0, 0.0], [[0.3, 0.0], [0.0, 0.3]]),
+    "not symmetric": ([0.0, 0.0], [[1.0, 1e-3], [0.0, 1.0]]),
+    "not positive definite: min eigenvalue": ([0.0, 0.0], [[1.0, 0.0], [0.0, -1.0]]),
+    "non-finite": ([np.nan, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+}
+
+
+def assert_rejected_as(role, mean, cov):
+    """Single and sweep evaluations reject the bad state in the given role,
+    with a message that names the role and the input's violation."""
+    text = next(key for key, case in UNPHYSICAL.items() if case[1] == cov)
+    pair = {"rho": thermal_state(1.0), "sigma": thermal_state(1.0),
+            role: GaussianState(np.array(mean), np.array(cov))}
+    pattern = f"^{role} is unphysical: .*{re.escape(text)}"
+    with pytest.raises(UnphysicalStateError, match=pattern):
+        sandwiched_renyi(pair["rho"], pair["sigma"], 0.5)
+    with pytest.raises(UnphysicalStateError, match=pattern):
+        sandwiched_renyi_sweep(pair["rho"], pair["sigma"], [0.3, 0.7])
+
+
+@pytest.mark.parametrize("mean,cov", UNPHYSICAL.values())
 def test_unphysical_sigma_rejected(mean, cov):
-    sigma = GaussianState(np.array(mean), np.array(cov))
-    with pytest.raises(UnphysicalStateError, match="^sigma is unphysical: "):
-        sandwiched_renyi(thermal_state(1.0), sigma, 0.5)
-    with pytest.raises(UnphysicalStateError, match="^sigma is unphysical: "):
-        sandwiched_renyi_sweep(thermal_state(1.0), sigma, [0.3, 0.7])
+    assert_rejected_as("sigma", mean, cov)
+
+
+@pytest.mark.parametrize("mean,cov", UNPHYSICAL.values())
+def test_unphysical_rho_rejected(mean, cov):
+    assert_rejected_as("rho", mean, cov)
 
 
 def test_large_displacement_is_a_domain_error():

@@ -12,7 +12,7 @@ from gauss_renyi.kernel import (CoherentKernel, apply_contraction,
 from gauss_renyi.recipes import phase_congruence
 from gauss_renyi.sampling import random_faithful_state
 from gauss_renyi.states import (coherent_state, gaussian_transform,
-                                squeezed_vacuum, thermal_state)
+                                squeezed_vacuum, symplectic_form, thermal_state)
 
 LN2 = math.log(2.0)
 
@@ -73,7 +73,10 @@ def test_state_kernels_have_unit_trace(rng):
 def test_form_matrix_negated_a_inverts_shifted_cov(rng):
     state = random_faithful_state(rng, 2)
     k = state_to_kernel(state)
-    N = form_matrix(k.A, k.lam, negate_a=True)
+    # M(-A, lam) = J^T M(A, lam) J exactly, which kernel_to_state relies on
+    J = symplectic_form(2)
+    N = J.T @ form_matrix(k.A, k.lam) @ J
+    assert np.array_equal(N, form_matrix(-k.A, k.lam))
     G = np.linalg.inv(0.5 * np.eye(4) + state.cov)
     assert np.max(np.abs(N - G)) < 1e-10
 

@@ -8,7 +8,7 @@ import pytest
 from helpers import symplectic_residual
 from gauss_renyi.exceptions import DecompositionError, UnphysicalStateError
 from gauss_renyi.sampling import random_faithful_state, random_symplectic
-from gauss_renyi.states import gaussian_transform, thermal_state
+from gauss_renyi.states import MAX_SQUEEZE, gaussian_transform, squeezed_vacuum, thermal_state
 from gauss_renyi.williamson import (WilliamsonForm, d_to_t, symplectic_eigenvalues,
                                     t_to_d, williamson_decompose)
 
@@ -59,16 +59,31 @@ def test_frozen_one_mode_form():
     assert np.allclose(form.L.T @ S @ form.L, 1.5 * np.eye(2), atol=1e-12)
 
 
+def assert_normal_form(cov):
+    form = williamson_decompose(cov)
+    D = np.diag(np.concatenate([form.d, form.d]))
+    assert symplectic_residual(form.L) < 1e-10
+    assert np.max(np.abs(form.L.T @ cov @ form.L - D)) < 1e-8
+    assert np.all(np.diff(form.d) <= 1e-12)  # descending
+    assert np.allclose(form.d, symplectic_eigenvalues(cov), atol=1e-8)
+    return form
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_random_residues(rng, n):
     for _ in range(5):
-        state = random_faithful_state(rng, n)
-        form = williamson_decompose(state.cov)
-        D = np.diag(np.concatenate([form.d, form.d]))
-        assert symplectic_residual(form.L) < 1e-10
-        assert np.max(np.abs(form.L.T @ state.cov @ form.L - D)) < 1e-8
-        assert np.all(np.diff(form.d) <= 1e-12)  # descending
-        assert np.allclose(form.d, symplectic_eigenvalues(state.cov), atol=1e-8)
+        assert_normal_form(random_faithful_state(rng, n).cov)
+
+
+def test_ill_conditioned_residues():
+    # a thermal product under a random symplectic and a strong squeeze:
+    # the covariance has condition number about 4e6
+    L = random_symplectic(np.random.default_rng(3), 3)
+    squeeze = np.diag(np.exp([4.0, -1.0, 2.0, -4.0, 1.0, -2.0]))
+    cov = squeeze @ L.T @ thermal_state([0.5, 1.0, 2.0]).cov @ L @ squeeze
+    assert np.linalg.cond(cov) > 1e6
+    form = assert_normal_form(cov)
+    assert np.allclose(form.d, t_to_d(np.array([0.5, 1.0, 2.0])), atol=1e-10)
 
 
 def test_degenerate_spectrum(rng):
@@ -81,10 +96,10 @@ def test_degenerate_spectrum(rng):
 
 
 def test_pure_squeezed_maps_to_inf():
-    from gauss_renyi.states import squeezed_vacuum
-    form = williamson_decompose(squeezed_vacuum(0.5).cov)
-    assert np.allclose(form.d, [0.5], atol=1e-12)
-    assert form.t[0] == math.inf
+    for r in (0.5, MAX_SQUEEZE):
+        form = williamson_decompose(squeezed_vacuum(r).cov)
+        assert np.allclose(form.d, [0.5], atol=1e-12)
+        assert form.t[0] == math.inf
 
 
 def test_unphysical_covariance_rejected():
