@@ -7,6 +7,8 @@ no generating-kernel algebra, so results can cross-check the closed forms.
 
 All operators act on the n-mode truncated space (C^cutoff)^(tensor n) with
 basis |k_1 .. k_n>, k_i < cutoff, mode 1 as the leftmost tensor factor.
+SciPy, for expm, is imported only inside the functions that call it, so
+importing the CLI, which reaches this module through verify, does not load it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import AlphaRangeError, NotFaithfulError
 from .recipes import Recipe
@@ -64,6 +65,7 @@ def displace(gamma: complex, cutoff: int) -> np.ndarray:
     if abs(gamma) > MAX_DISPLACE:
         raise ValueError(f"|gamma| = {abs(gamma):.3f} exceeds {MAX_DISPLACE}")
     a = annihilator(cutoff)
+    import scipy.linalg
     return scipy.linalg.expm(gamma * a.conj().T - np.conj(gamma) * a)
 
 
@@ -72,6 +74,7 @@ def squeeze(z: complex, cutoff: int) -> np.ndarray:
     if abs(z) > MAX_SQUEEZE_Z:
         raise ValueError(f"|z| = {abs(z):.3f} exceeds {MAX_SQUEEZE_Z}")
     a = annihilator(cutoff)
+    import scipy.linalg
     return scipy.linalg.expm(0.5 * (np.conj(z) * (a @ a) - z * (a.conj().T @ a.conj().T)))
 
 
@@ -81,6 +84,7 @@ def beamsplitter(theta: float, cutoff: int) -> np.ndarray:
     a1 = embed(annihilator(cutoff), 0, 2, cutoff)
     a2 = embed(annihilator(cutoff), 1, 2, cutoff)
     gen = a1.conj().T @ a2 - a1 @ a2.conj().T
+    import scipy.linalg
     return scipy.linalg.expm(theta * gen)
 
 

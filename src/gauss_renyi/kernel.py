@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import NotTraceClassError, UnphysicalStateError
 from .states import GaussianState, symplectic_form
@@ -61,17 +60,17 @@ class CoherentKernel:
 
     @cached_property
     def _form_factor(self):
-        """Lower Cholesky factor of M(A, lam), shared by the trace and the
-        state, or None unless M is positive definite with every squared
-        pivot above FORM_MIN_EIG.  The factorization is the definiteness test,
-        so no eigensolve runs; a squared pivot is never below the smallest
-        eigenvalue, so the margin bounds the pivots rather than the spectrum.
+        """Lower factor L of the numpy.linalg Cholesky M(A, lam) = L L^T, shared
+        by the trace and the state, or None unless M is positive definite with
+        every squared pivot above FORM_MIN_EIG.  The factorization is the
+        definiteness test, so no eigensolve runs; a squared pivot is never below
+        the smallest eigenvalue, so the margin bounds pivots, not the spectrum.
         """
         try:
-            cho = scipy.linalg.cho_factor(form_matrix(self.A, self.lam), lower=True)
+            L = np.linalg.cholesky(form_matrix(self.A, self.lam))
         except np.linalg.LinAlgError:
             return None
-        return cho if float(np.min(np.diag(cho[0]))) ** 2 > FORM_MIN_EIG else None
+        return L if float(np.min(np.diag(L))) ** 2 > FORM_MIN_EIG else None
 
 
 def _set_fields(kernel: CoherentKernel, c, mu, A, lam) -> None:
@@ -106,18 +105,18 @@ def log_kernel_trace(kernel: CoherentKernel) -> float:
 
     Tr Z = c / sqrt(det M) * exp(b . M^{-1} b) with b = (Re mu, -Im mu);
     the sign on the imaginary block comes from the conjugate slot of the
-    coherent-vector resolution of the identity.  Uses a Cholesky solve,
-    never an explicit inverse (the factor is kept for kernel_to_state), and
-    evaluates the determinant in the log domain.
+    coherent-vector resolution of the identity.  With the Cholesky factor
+    M = L L^T kept for kernel_to_state, b . M^{-1} b = |L^{-1} b|^2 by one LU
+    solve with L (NumPy has no triangular solver); ln det M = 2 sum ln L_jj.
     """
-    cho = kernel._form_factor
-    if cho is None:
+    L = kernel._form_factor
+    if L is None:
         raise NotTraceClassError(
             "not trace class: form matrix not positive definite "
             f"(needs min eigenvalue > {FORM_MIN_EIG:.0e})")
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-    b = np.concatenate([kernel.mu.real, -kernel.mu.imag])
-    quad = float(b @ scipy.linalg.cho_solve(cho, b))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    y = np.linalg.solve(L, np.concatenate([kernel.mu.real, -kernel.mu.imag]))
+    quad = float(y @ y)
     return float(np.log(kernel.c) - 0.5 * logdet + quad)
 
 
@@ -140,12 +139,12 @@ def state_to_kernel(state: GaussianState) -> CoherentKernel:
     n = state.n
     C = 0.5 * np.eye(2 * n) + state.cov
     try:
-        cho = scipy.linalg.cho_factor(0.5 * (C + C.T), lower=True)
+        L = np.linalg.cholesky(0.5 * (C + C.T))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded upstream
         raise UnphysicalStateError(f"covariance shifted by I/2 not positive definite: {exc}")
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-    G = scipy.linalg.cho_solve(cho, np.eye(2 * n))
-    G = 0.5 * (G + G.T)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    Li = np.linalg.inv(L.T)  # L^{-T}: the LU of an upper-triangular matrix swaps no rows
+    G = Li @ Li.T
 
     g11, g12 = G[:n, :n], G[:n, n:]
     g21, g22 = G[n:, :n], G[n:, n:]
@@ -172,16 +171,17 @@ def kernel_to_state(kernel: CoherentKernel) -> GaussianState:
     S = M(-A, lam)^{-1} - I/2 = J^T M(A, lam)^{-1} J - I/2, since
     M(-A, lam) = J^T M(A, lam) J exactly, and the mean inverts the
     displacement map of state_to_kernel: m_r = Xi M(A, lam)^{-1} Xi mu_r
-    where Xi negates the imaginary block.  Both come from the Cholesky
-    factor of M(A, lam) that log_kernel_trace shares.  Raises
+    where Xi negates the imaginary block.  Both come from M^{-1} = L^{-T} L^{-1},
+    with L the Cholesky factor that log_kernel_trace shares.  Raises
     UnphysicalStateError when the form matrix is singular or indefinite.
     """
     n = kernel.n
-    cho = kernel._form_factor
-    if cho is None:
+    L = kernel._form_factor
+    if L is None:
         raise UnphysicalStateError(
             "kernel parameters do not describe a normalizable gaussian state")
-    inv = scipy.linalg.cho_solve(cho, np.eye(2 * n))
+    Li = np.linalg.inv(L.T)  # L^{-T}, as in state_to_kernel
+    inv = Li @ Li.T
     J, xi = symplectic_form(n), np.repeat([1.0, -1.0], n)
     cov = J.T @ inv @ J - 0.5 * np.eye(2 * n)
     mean = xi * (inv @ (xi * np.concatenate([kernel.mu.real, kernel.mu.imag])))

@@ -8,7 +8,8 @@ per-mode thermal parameters t_j via d = coth(t/2)/2.
 Both the spectrum d and the congruence L come from one Cholesky factor
 S = R R^T, which is also the positive-definiteness test, and one
 hermitian eigensolve of i R^T J R, whose eigenvalues are +-d_j and whose
-+d_j eigenvectors span the symplectic basis.
++d_j eigenvectors V span the symplectic basis.  Since i R^T (J R) V =
+V diag(d), R^{-T} V = i (J R) V / d carries V back without a solve.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import DecompositionError, UnphysicalStateError
 from .states import PURE_TOL, PHYSICAL_TOL, SYMPLECTIC_TOL, symplectic_form
@@ -54,16 +54,18 @@ def _spectrum(S: np.ndarray, vectors: bool = False):
     L = R^{-T} [sqrt2 Im V, sqrt2 Re V] diag(sqrt d, sqrt d): Re and Im of each
     column are orthogonal with equal norms, so L^T J L = J (Im V as the q block
     gives +J, not -J), and any orthonormal basis of a degenerate eigenspace
-    works.  Each column's phase makes its largest-modulus entry positive
-    imaginary, so L is deterministic.  Raises _NotPositiveDefinite when the
-    Cholesky fails; only then is the smallest eigenvalue computed.
+    works.  No solve is needed: i R^T (J R) V = V diag(d) gives R^{-T} V =
+    i W / d with W = (J R) V, so L = sqrt2 [Re W, -Im W] diag(1/sqrt d, 1/sqrt d).
+    Each column's phase makes V's largest-modulus entry positive imaginary, so
+    L is deterministic.  Raises _NotPositiveDefinite when the Cholesky fails.
     """
     try:
         R = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         raise _NotPositiveDefinite(float(np.linalg.eigvalsh(S)[0])) from None
     n = S.shape[0] // 2
-    skew = R.T @ np.concatenate([R[n:], -R[:n]])  # J R: R's row blocks swapped, one negated
+    jr = np.concatenate([R[n:], -R[:n]])  # J R: R's row blocks swapped, one negated
+    skew = R.T @ jr
     herm = 0.5j * (skew - skew.T)
     if not vectors:
         return np.linalg.eigvalsh(herm)[::-1][:n], None
@@ -71,9 +73,7 @@ def _spectrum(S: np.ndarray, vectors: bool = False):
     d, V = ev[::-1][:n], V[:, ::-1][:, :n]
     top = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
     V = V * (1j * top.conj() / np.abs(top))
-    scale = np.sqrt(2.0 * np.concatenate([d, d]))
-    return d, scipy.linalg.solve_triangular(R, np.hstack([V.imag, V.real]) * scale,
-                                            trans="T", lower=True)
+    return d, jr @ np.hstack([V.real, -V.imag]) * np.sqrt(2.0 / np.concatenate([d, d]))
 
 
 def d_to_t(d, pure_tol: float = PURE_TOL):

@@ -247,8 +247,8 @@ def test_unphysical_sigma_exit_2(states, capsys, tmp_path, obj):
     assert "sigma is unphysical" in err
 
 
-def cli_process(*argv):
-    """Run ``python -m gauss_renyi.cli`` in a child process with this package importable."""
+def python_process(*args):
+    """Run the interpreter in a child process with this package importable."""
     import os
     import subprocess
     import sys
@@ -258,8 +258,13 @@ def cli_process(*argv):
     src = os.path.dirname(os.path.dirname(gauss_renyi.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, "-m", "gauss_renyi.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def cli_process(*argv):
+    """Run ``python -m gauss_renyi.cli`` in a child process."""
+    return python_process("-m", "gauss_renyi.cli", *argv)
 
 
 def test_module_entry_point_runs(states):
@@ -276,3 +281,34 @@ def test_large_displacement_exit_2_without_traceback(states, tmp_path):
     assert proc.returncode == 2
     assert "underflows" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+#: runs CLI commands with SciPy made unimportable, then prints their exit
+#: codes and every scipy* module loaded besides the blocking entry itself
+SCIPY_BLOCKED = """
+import json, sys
+sys.modules["scipy"] = None
+from gauss_renyi.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(k for k in sys.modules if k.startswith("scipy") and k != "scipy")}))
+"""
+
+
+def test_evaluation_commands_run_without_scipy(states, tmp_path):
+    squeezed = write(tmp_path, "squeezed.json", {"squeezed_vacuum": 0.4})
+    commands = [
+        ["entropy", "--alpha", "0.5", squeezed, states["sigma"]],
+        ["sweep", "--alphas", "0.3,0.7", states["coherent"], states["sigma"]],
+        ["williamson", squeezed],
+        ["convert", states["coherent"]],
+    ]
+    proc = python_process("-c", SCIPY_BLOCKED, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "scipy": []}
+
+
+def test_verify_process_loads_the_oracle():
+    proc = cli_process("verify", "--suite", "trace")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert " 0 failed" in proc.stdout
