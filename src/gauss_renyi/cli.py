@@ -9,8 +9,8 @@ Subcommands
 
 Every number is printed at 12 significant digits and infinities appear as
 the string "inf".  Exit status: 0 success; 2 domain errors (unphysical or
-non-faithful states, orders outside (0,1), bad suite selections); 1 I/O
-problems, malformed state files, or verify-suite failures.
+non-faithful states, mode mismatches, orders outside (0,1), bad suite
+selections); 1 I/O problems, malformed state files, or verify-suite failures.
 """
 
 import argparse
@@ -23,7 +23,7 @@ from .entropy import EntropyReport, sandwiched_renyi, sandwiched_renyi_sweep
 from .exceptions import GaussRenyiError, StateFileError
 from .kernel import kernel_to_state, state_to_kernel
 from .statefile import json_number, load_state, round12, state_to_json
-from .states import _require_factorized, require_physical
+from .states import require_physical
 from .verify import GROUPS, run_suite, suite_passed
 from .williamson import williamson_decompose
 
@@ -129,7 +129,7 @@ def cmd_sweep(args, parser) -> int:
 
 def cmd_williamson(args, parser) -> int:
     state = _load_single(args, parser)
-    form = _require_factorized(state, "state", williamson_decompose)
+    form = require_physical(state, "state", williamson_decompose)
     payload = {
         "n": state.n,
         "d": [json_number(x) for x in form.d],

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AlphaRangeError, NotFaithfulError
+from .exceptions import AlphaRangeError, ModeMismatchError, NotFaithfulError
 from .kernel import CoherentKernel, apply_contraction, log_kernel_trace, kernel_to_state, state_to_kernel
-from .states import (GaussianState, ThermalParams, _require_factorized, gaussian_transform,
-                     require_physical)
+from .states import GaussianState, gaussian_transform, require_physical
 from .williamson import symplectic_eigenvalues, williamson_decompose, d_to_t
 
 #: kernels whose pair block A is below this are treated as pair-free; their
@@ -37,7 +36,7 @@ COV_GAP_FLOOR = 1e-13
 
 def log_thermal_norm(t) -> float:
     """ln p(t) = sum_j ln(1 - e^(-t_j)); contributions from t = inf are 0."""
-    t = np.asarray(t if not isinstance(t, ThermalParams) else t.t, dtype=float)
+    t = np.asarray(t, dtype=float)
     finite = t[np.isfinite(t)]
     return float(np.sum(np.log(-np.expm1(-finite))))
 
@@ -57,7 +56,7 @@ def fractional_power_contraction(s, alpha: float) -> np.ndarray:
     prefactor p(s)^((1-alpha)/(2 alpha)).
     """
     alpha = _check_alpha(alpha)
-    s = np.asarray(s if not isinstance(s, ThermalParams) else s.t, dtype=float)
+    s = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(s)):
         raise NotFaithfulError("fractional powers need finite thermal parameters "
                                "(sigma must be faithful)")
@@ -65,26 +64,27 @@ def fractional_power_contraction(s, alpha: float) -> np.ndarray:
 
 
 def reduce_to_thermal(rho: GaussianState, sigma: GaussianState
-                      ) -> tuple[GaussianState, ThermalParams]:
+                      ) -> tuple[GaussianState, np.ndarray]:
     """Apply the sigma-normalizing Gaussian unitary to rho.
 
     Returns (rho', s) where the same transform sends sigma to the zero-mean
-    thermal state with ascending parameters s, to within the Williamson
-    diagonalization residue.  sigma's physicality is checked by its own
-    Williamson decomposition, after the checks that need no factorization.
-    Raises UnphysicalStateError for an unphysical rho or sigma and
-    NotFaithfulError if sigma has a pure mode.
+    thermal state with ascending parameters s (read-only), to within the
+    Williamson diagonalization residue.  Mode counts are compared before any
+    factorization; sigma's physicality is checked by its own Williamson
+    decomposition, after the checks that need no factorization.  Raises
+    ModeMismatchError, UnphysicalStateError for an unphysical rho or sigma,
+    and NotFaithfulError if sigma has a pure mode.
     """
-    require_physical(rho, "rho")
-    form = _require_factorized(sigma, "sigma", williamson_decompose)
     if rho.n != sigma.n:
-        raise ValueError(f"mode mismatch: rho has {rho.n}, sigma has {sigma.n}")
+        raise ModeMismatchError(f"mode mismatch: rho has {rho.n}, sigma has {sigma.n}")
+    require_physical(rho, "rho")
+    form = require_physical(sigma, "sigma", williamson_decompose)
     if not np.all(np.isfinite(form.t)):
         raise NotFaithfulError(
             "sigma must be faithful: every symplectic eigenvalue above 1/2; "
             f"got d = {np.array2string(form.d, precision=10)}")
     rho_prime = gaussian_transform(rho, form.L, shift=sigma.mean)
-    return rho_prime, ThermalParams(form.t)
+    return rho_prime, form.t
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def _contracted_thermal_parameters(z: CoherentKernel) -> np.ndarray:
     return np.sort(t)
 
 
-def _evaluate(kernel_prime: CoherentKernel, s: ThermalParams, alpha: float) -> EntropyReport:
+def _evaluate(kernel_prime: CoherentKernel, s: np.ndarray, alpha: float) -> EntropyReport:
     k = fractional_power_contraction(s, alpha)
     z = apply_contraction(kernel_prime, k)
     ln_trace = log_kernel_trace(z)
@@ -142,7 +142,7 @@ def _evaluate(kernel_prime: CoherentKernel, s: ThermalParams, alpha: float) -> E
         divergence=float(ln_t_alpha / (alpha - 1.0)),
         T_alpha=float(np.exp(ln_t_alpha)),
         trace_Z=float(np.exp(ln_trace)),
-        s=s.t,
+        s=s,
         t_Z=np.asarray(t_z, dtype=float),
         p_s=float(np.exp(ln_ps)),
         p_tZ=float(np.exp(ln_ptz)),

@@ -30,6 +30,10 @@ class AlphaRangeError(GaussRenyiError):
     """The Renyi order is outside the supported open interval."""
 
 
+class ModeMismatchError(GaussRenyiError, ValueError):
+    """rho and sigma have different numbers of modes."""
+
+
 class StateFileError(GaussRenyiError):
     """A state file is missing, unreadable, or does not follow the JSON schema.
 

@@ -73,11 +73,12 @@ class CoherentKernel:
         return L if float(np.min(np.diag(L))) ** 2 > FORM_MIN_EIG else None
 
 
-def _set_fields(kernel: CoherentKernel, c, mu, A, lam) -> None:
+def _set_fields(kernel: CoherentKernel, c, mu, A, lam) -> CoherentKernel:
     for name, arr in (("mu", mu), ("A", A), ("lam", lam)):
         arr.flags.writeable = False
         object.__setattr__(kernel, name, arr)
     object.__setattr__(kernel, "c", float(c))
+    return kernel
 
 
 def form_matrix(A: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -135,6 +136,11 @@ def state_to_kernel(state: GaussianState) -> CoherentKernel:
     The mean enters exactly as a displacement acting on the zero-mean
     kernel, which fixes every conjugation above.  Raises NotTraceClassError
     when c underflows, which a displacement |m| above about 27 can cause.
+
+    The state is taken to be physical (require_physical), so CoherentKernel's
+    checks and their eigensolve are not run: A and lam are symmetrized above,
+    and a state that passes require_physical has
+    lambda_min(lam) >= d_min - 1/2 >= -PHYSICAL_TOL = -LAM_PSD_TOL.
     """
     n = state.n
     C = 0.5 * np.eye(2 * n) + state.cov
@@ -162,7 +168,7 @@ def state_to_kernel(state: GaussianState) -> CoherentKernel:
         raise NotTraceClassError(
             f"kernel scale c = exp({log_c:.6g}) underflows to 0 in double precision, "
             "whose limit is ln c > -745; the displacement is too large")
-    return CoherentKernel(c=c, mu=mu, A=A, lam=lam)
+    return _set_fields(object.__new__(CoherentKernel), c, mu, A, lam)
 
 
 def kernel_to_state(kernel: CoherentKernel) -> GaussianState:
@@ -202,9 +208,8 @@ def apply_contraction(kernel: CoherentKernel, k: np.ndarray) -> CoherentKernel:
     if np.any(k < 0.0) or np.any(k > 1.0 + 1e-12):
         raise ValueError(f"contraction violation: diagonal entries must be in [0, 1], got {k}")
     outer = np.outer(k, k)
-    z = object.__new__(CoherentKernel)
-    _set_fields(z, kernel.c, k * kernel.mu, outer * kernel.A, outer * kernel.lam)
-    return z
+    return _set_fields(object.__new__(CoherentKernel), kernel.c, k * kernel.mu,
+                       outer * kernel.A, outer * kernel.lam)
 
 
 def evaluate_kernel(kernel: CoherentKernel, u: np.ndarray, v: np.ndarray) -> complex:

@@ -71,55 +71,27 @@ class GaussianState:
         return self.mean[:n] + 1j * self.mean[n:]
 
 
-@dataclass(frozen=True)
-class ThermalParams:
-    """Per-mode thermal parameters t, sorted ascending, 0 < t <= inf.
-
-    t = inf marks a pure (vacuum-like) mode.
-    """
-
-    t: np.ndarray
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=float).reshape(-1)
-        if t.size == 0:
-            raise ValueError("ThermalParams needs at least one mode")
-        if np.any(t <= 0) or np.any(np.isnan(t)):
-            raise ValueError(f"thermal parameters must be positive, got {t}")
-        if np.any(np.diff(t) < 0):
-            raise ValueError(f"thermal parameters must be sorted ascending, got {t}")
-        t.flags.writeable = False
-        object.__setattr__(self, "t", t)
-
-    @property
-    def n(self) -> int:
-        return self.t.size
-
-
-def is_symplectic(L: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
-    """Check L^T J L = J to within tol (max-abs residue)."""
-    L = np.asarray(L, dtype=float)
-    n = L.shape[0] // 2
-    J = symplectic_form(n)
-    return bool(np.max(np.abs(L.T @ J @ L - J)) <= tol)
-
-
-def validate_state(state: GaussianState, *, tol_sym: float = SYMMETRY_TOL,
-                   tol_phys: float = PHYSICAL_TOL) -> list[str]:
+def validate_state(state: GaussianState) -> list[str]:
     """Return a list of violations; an empty list means the state is physical.
 
     Checks: finite entries, covariance symmetry, positive definiteness and
-    the Heisenberg bound (all symplectic eigenvalues >= 1/2 - tol_phys).
+    the Heisenberg bound (all symplectic eigenvalues >= 1/2 - PHYSICAL_TOL).
     """
+    return _violations(state, _heisenberg_spectrum)[0]
+
+
+def _heisenberg_spectrum(cov: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum of cov; UnphysicalStateError below 1/2 - PHYSICAL_TOL."""
     from .williamson import symplectic_eigenvalues  # deferred, avoids an import cycle
 
-    violations, d = _violations(state, symplectic_eigenvalues, tol_sym)
-    if d is not None and float(d.min()) < 0.5 - tol_phys:
-        violations.append(f"symplectic eigenvalue {float(d.min()):.6g} < 0.5 (Heisenberg bound)")
-    return violations
+    d = symplectic_eigenvalues(cov)
+    if float(d.min()) < 0.5 - PHYSICAL_TOL:
+        raise UnphysicalStateError(
+            f"symplectic eigenvalue {float(d.min()):.6g} < 0.5 (Heisenberg bound)")
+    return d
 
 
-def _violations(state: GaussianState, factorize, tol_sym: float = SYMMETRY_TOL):
+def _violations(state: GaussianState, factorize):
     """Violations found without a factorization, then those found by factorize(cov).
 
     factorize runs once cov is finite and symmetric; a
@@ -136,8 +108,8 @@ def _violations(state: GaussianState, factorize, tol_sym: float = SYMMETRY_TOL):
         violations.append("cov has non-finite entries")
         return violations, None
     asym = float(np.max(np.abs(state.cov - state.cov.T)))
-    if asym > tol_sym:
-        violations.append(f"cov not symmetric: max asymmetry {asym:.3e} > {tol_sym:.0e}")
+    if asym > SYMMETRY_TOL:
+        violations.append(f"cov not symmetric: max asymmetry {asym:.3e} > {SYMMETRY_TOL:.0e}")
         return violations, None
     try:
         return violations, factorize(state.cov)
@@ -148,20 +120,19 @@ def _violations(state: GaussianState, factorize, tol_sym: float = SYMMETRY_TOL):
     return violations, None
 
 
-def _require_factorized(state: GaussianState, label: str, factorize):
-    """factorize(cov) as the physicality check: raises UnphysicalStateError
-    ("<label> is unphysical: ...") naming every violation _violations finds."""
+def require_physical(state: GaussianState, label: str = "state",
+                     factorize=_heisenberg_spectrum):
+    """factorize(cov) as the physicality check; returns its result.
+
+    factorize defaults to the symplectic spectrum under the Heisenberg
+    bound; williamson_decompose checks a state by its own normal form.
+    Raises UnphysicalStateError ("<label> is unphysical: ...") naming every
+    violation found.
+    """
     violations, result = _violations(state, factorize)
     if violations:
         raise UnphysicalStateError(f"{label} is unphysical: " + "; ".join(violations))
     return result
-
-
-def require_physical(state: GaussianState, label: str = "state") -> None:
-    """Raise UnphysicalStateError if validate_state finds violations."""
-    violations = validate_state(state)
-    if violations:
-        raise UnphysicalStateError(f"{label} is unphysical: " + "; ".join(violations))
 
 
 def thermal_state(t) -> GaussianState:

@@ -234,6 +234,18 @@ def test_missing_subcommand_is_usage_error():
     assert err.value.code == 2
 
 
+def test_mode_mismatch_exit_2_before_physicality(states, capsys, tmp_path):
+    two = write(tmp_path, "two.json", {"thermal": [0.7, 1.1]})
+    bad = write(tmp_path, "unphys.json",
+                {"n": 1, "mean": [0, 0], "cov": [[0.1, 0], [0, 0.1]]})
+    for rho in (states["rho"], bad):
+        for argv in (["entropy", "--alpha", "0.5"], ["sweep", "--alphas", "0.3,0.7"]):
+            code, out, err = run(capsys, argv + [rho, two])
+            assert code == 2
+            assert out == ""
+            assert err == "error: mode mismatch: rho has 1, sigma has 2\n"
+
+
 @pytest.mark.parametrize("obj", [
     {"n": 1, "mean": [0, 0], "cov": [[0.3, 0], [0, 0.3]]},
     {"n": 1, "mean": [0, 0], "cov": [[1.0, 1e-3], [0, 1.0]]},

@@ -1,9 +1,9 @@
 """Dense factorizations per evaluation, counted by wrapping numpy/scipy.linalg.
 
 Each quantity of the pipeline has one route.  Per call: a Cholesky and an
-eigensolve per state (physicality of rho, Williamson form of sigma), one
-Cholesky for the kernel of rho' and the eigensolve of its Lambda check.
-Per order: one Cholesky of the contracted kernel's form matrix, which
+eigensolve per state (physicality of rho, Williamson form of sigma) and one
+Cholesky for the kernel of rho'; that kernel's Lambda is not checked again,
+since rho's physicality already bounds it.  Per order: one Cholesky of the contracted kernel's form matrix, which
 serves the trace and, on the fallback branch, the covariance, and the t_Z
 spectrum (one eigensolve, or on the fallback branch the covariance's
 Cholesky and one eigensolve).  The contracted kernel's Lambda is not
@@ -70,8 +70,8 @@ def factorizations(counts, call) -> tuple[int, int]:
 
 
 @pytest.mark.parametrize("rho,per_call,per_order,branch", [
-    (PAIR_FREE_RHO, 8, 2, 0),
-    (FALLBACK_RHO, 9, 3, 1),
+    (PAIR_FREE_RHO, 7, 2, 0),
+    (FALLBACK_RHO, 8, 3, 1),
 ])
 def test_factorization_count(counts, rho, per_call, per_order, branch):
     single, fallbacks = factorizations(
