@@ -3,10 +3,13 @@
 Each quantity of the pipeline has one route.  Per call: a Cholesky and an
 eigensolve per state (physicality of rho, Williamson form of sigma) and one
 Cholesky for the kernel of rho'; that kernel's Lambda is not checked again,
-since rho's physicality already bounds it.  Per order: one Cholesky of the contracted kernel's form matrix, which
-serves the trace and, on the fallback branch, the covariance, and the t_Z
-spectrum (one eigensolve, or on the fallback branch the covariance's
-Cholesky and one eigensolve).  The contracted kernel's Lambda is not
+since rho's physicality already bounds it.  test_factorization_count holds
+the per-call budget (one more than that, 8 and 9 below) and the per-order
+one; test_rho_kernel_factorizations pins the per-call total exactly.  Per
+order: one Cholesky of the contracted kernel's form matrix, which serves
+the trace and, on the fallback branch, the covariance, and the t_Z spectrum
+(one eigensolve, or on the fallback branch the covariance's Cholesky and
+one eigensolve).  The contracted kernel's Lambda is not
 checked again.
 """
 
@@ -16,6 +19,7 @@ import pytest
 import scipy.linalg
 
 import gauss_renyi.entropy as entropy
+from gauss_renyi.kernel import state_to_kernel
 from gauss_renyi.states import GaussianState, squeezed_vacuum, tensor, thermal_state
 
 FACTORIZATIONS = {
@@ -70,8 +74,8 @@ def factorizations(counts, call) -> tuple[int, int]:
 
 
 @pytest.mark.parametrize("rho,per_call,per_order,branch", [
-    (PAIR_FREE_RHO, 7, 2, 0),
-    (FALLBACK_RHO, 8, 3, 1),
+    (PAIR_FREE_RHO, 8, 2, 0),
+    (FALLBACK_RHO, 9, 3, 1),
 ])
 def test_factorization_count(counts, rho, per_call, per_order, branch):
     single, fallbacks = factorizations(
@@ -84,3 +88,13 @@ def test_factorization_count(counts, rho, per_call, per_order, branch):
     assert fallbacks == 3 * branch
     assert one == single
     assert (three - one) / 2 <= per_order
+
+
+@pytest.mark.parametrize("rho,per_call", [(PAIR_FREE_RHO, 7), (FALLBACK_RHO, 8)])
+def test_rho_kernel_factorizations(counts, rho, per_call):
+    """rho's kernel costs its Cholesky alone: no eigensolve of its Lambda."""
+    rho_prime, _ = entropy.reduce_to_thermal(rho, SIGMA)
+    kernel, _ = factorizations(counts, lambda: state_to_kernel(rho_prime))
+    assert kernel == 1
+    single, _ = factorizations(counts, lambda: entropy.sandwiched_renyi(rho, SIGMA, 0.5))
+    assert single == per_call
