@@ -85,10 +85,18 @@ def _heisenberg_spectrum(cov: np.ndarray) -> np.ndarray:
     from .williamson import symplectic_eigenvalues  # deferred, avoids an import cycle
 
     d = symplectic_eigenvalues(cov)
-    if float(d.min()) < 0.5 - PHYSICAL_TOL:
-        raise UnphysicalStateError(
-            f"symplectic eigenvalue {float(d.min()):.6g} < 0.5 (Heisenberg bound)")
+    require_heisenberg(d)
     return d
+
+
+def require_heisenberg(d) -> None:
+    """Raise UnphysicalStateError if a symplectic eigenvalue in d is below
+    1/2 - PHYSICAL_TOL; the message says how far below 1/2 the lowest one is."""
+    low = float(d.min())
+    if low < 0.5 - PHYSICAL_TOL:
+        raise UnphysicalStateError(
+            f"symplectic eigenvalue d = 0.5 - {0.5 - low:.3g} is below the Heisenberg "
+            f"bound 0.5 by more than the slack PHYSICAL_TOL = {PHYSICAL_TOL:.0e}")
 
 
 def _violations(state: GaussianState, factorize):
@@ -102,12 +110,12 @@ def _violations(state: GaussianState, factorize):
     from .williamson import _NotPositiveDefinite
 
     violations: list[str] = []
-    if not np.all(np.isfinite(state.mean)):
+    if not np.isfinite(state.mean).all():
         violations.append("mean has non-finite entries")
-    if not np.all(np.isfinite(state.cov)):
+    if not np.isfinite(state.cov).all():
         violations.append("cov has non-finite entries")
         return violations, None
-    asym = float(np.max(np.abs(state.cov - state.cov.T)))
+    asym = float(abs(state.cov - state.cov.T).max())
     if asym > SYMMETRY_TOL:
         violations.append(f"cov not symmetric: max asymmetry {asym:.3e} > {SYMMETRY_TOL:.0e}")
         return violations, None

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DecompositionError, UnphysicalStateError
-from .states import PURE_TOL, PHYSICAL_TOL, SYMPLECTIC_TOL, symplectic_form
+from .exceptions import DecompositionError
+from .states import PURE_TOL, SYMPLECTIC_TOL, require_heisenberg, symplectic_form
 
 #: residue allowed in L^T S L - D
 DIAG_TOL = 1e-8
@@ -34,21 +34,24 @@ class _NotPositiveDefinite(DecompositionError):
 
 
 def _check_symmetric(S: np.ndarray) -> np.ndarray:
+    """S as a float array of 2n x 2n matrices, over any leading axes, symmetrized."""
     S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2:
+    if S.ndim < 2 or S.shape[-1] != S.shape[-2] or S.shape[-1] % 2:
         raise ValueError(f"expected a 2n x 2n matrix, got shape {S.shape}")
-    if not np.all(np.isfinite(S)):
+    if not np.isfinite(S).all():
         raise ValueError("array must not contain infs or NaNs")
-    asym = float(np.max(np.abs(S - S.T)))
+    St = S.swapaxes(-1, -2)
+    asym = float(np.abs(S - St).max())
     if asym > SYMPLECTIC_TOL:
         raise DecompositionError(f"matrix not symmetric: max asymmetry {asym:.3e}")
-    return 0.5 * (S + S.T)
+    return 0.5 * (S + St)
 
 
 def _spectrum(S: np.ndarray, vectors: bool = False):
     """Symplectic eigenvalues d of a symmetric S, descending, and optionally L.
 
     Returns (d, L), L the congruence of the normal form if vectors, else None.
+    Without vectors, S may be a stack (..., 2n, 2n), and d is (..., n).
     With S = R R^T (Cholesky), R = S^{1/2} Q for an orthogonal Q, so i R^T J R
     has the spectrum +-d of i S^{1/2} J S^{1/2}.  With V its +d eigenvectors,
     L = R^{-T} [sqrt2 Im V, sqrt2 Re V] diag(sqrt d, sqrt d): Re and Im of each
@@ -62,13 +65,14 @@ def _spectrum(S: np.ndarray, vectors: bool = False):
     try:
         R = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        raise _NotPositiveDefinite(float(np.linalg.eigvalsh(S)[0])) from None
-    n = S.shape[0] // 2
-    jr = np.concatenate([R[n:], -R[:n]])  # J R: R's row blocks swapped, one negated
-    skew = R.T @ jr
-    herm = 0.5j * (skew - skew.T)
+        raise _NotPositiveDefinite(float(np.min(np.linalg.eigvalsh(S)[..., 0]))) from None
+    n = S.shape[-1] // 2
+    # J R: R's row blocks swapped, one negated
+    jr = np.concatenate([R[..., n:, :], -R[..., :n, :]], axis=-2)
+    skew = R.swapaxes(-1, -2) @ jr
+    herm = 0.5j * (skew - skew.swapaxes(-1, -2))
     if not vectors:
-        return np.linalg.eigvalsh(herm)[::-1][:n], None
+        return np.linalg.eigvalsh(herm)[..., ::-1][..., :n], None
     ev, V = np.linalg.eigh(herm)
     d, V = ev[::-1][:n], V[:, ::-1][:, :n]
     top = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
@@ -77,19 +81,16 @@ def _spectrum(S: np.ndarray, vectors: bool = False):
 
 
 def d_to_t(d, pure_tol: float = PURE_TOL):
-    """Map symplectic eigenvalues to thermal parameters, t = ln((d+1/2)/(d-1/2)).
+    """Map symplectic eigenvalues to thermal parameters, t = ln((d+1/2)/(d-1/2)),
+    elementwise over an array of any shape.
 
     Values within pure_tol of 1/2 map to inf; values below 1/2 - PHYSICAL_TOL
     raise UnphysicalStateError.
     """
     d = np.asarray(d, dtype=float)
-    if np.any(d < 0.5 - PHYSICAL_TOL):
-        bad = float(d.min())
-        raise UnphysicalStateError(
-            f"symplectic eigenvalue {bad:.6g} < 0.5 (Heisenberg bound)")
+    require_heisenberg(d)
     gap = np.maximum(d - 0.5, 0.0)
-    with np.errstate(divide="ignore"):
-        t = np.where(gap <= pure_tol, np.inf, np.log1p(1.0 / np.where(gap > 0, gap, 1.0)))
+    t = np.where(gap <= pure_tol, np.inf, np.log1p(1.0 / np.where(gap > 0, gap, 1.0)))
     return t if t.ndim else float(t)
 
 
@@ -101,7 +102,8 @@ def t_to_d(t):
 
 
 def symplectic_eigenvalues(S: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a symmetric positive definite S, sorted descending.
+    """Symplectic spectrum of a symmetric positive definite S, sorted descending;
+    for a stack of matrices (..., 2n, 2n), one spectrum per matrix.
 
     Computed as the positive eigenvalues of the hermitian matrix i R^T J R,
     with R the Cholesky factor of S, which is numerically stable and keeps
@@ -137,13 +139,13 @@ def williamson_decompose(S: np.ndarray) -> WilliamsonForm:
     t = d_to_t(d)  # raises UnphysicalStateError below the Heisenberg bound
 
     J = symplectic_form(n)
-    res_j = float(np.max(np.abs(L.T @ J @ L - J)))
+    res_j = float(abs(L.T @ J @ L - J).max())
     if res_j > SYMPLECTIC_TOL:
         raise DecompositionError(
             f"symplectic residue {res_j:.3e} > {SYMPLECTIC_TOL:.0e}; "
             "degenerate eigenvalue cluster could not be resolved")
     D = np.diag(np.concatenate([d, d]))
-    res_d = float(np.max(np.abs(L.T @ S @ L - D)))
+    res_d = float(abs(L.T @ S @ L - D).max())
     if res_d > DIAG_TOL:
         raise DecompositionError(f"diagonalization residue {res_d:.3e} > {DIAG_TOL:.0e}")
 

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from helpers import analytic_coherent_thermal, series_thermal_divergence
+import gauss_renyi.entropy as entropy
 from gauss_renyi.entropy import (EntropyReport, fractional_power_contraction,
                                  log_thermal_norm, reduce_to_thermal,
                                  sandwiched_renyi, sandwiched_renyi_sweep)
 from gauss_renyi.exceptions import (AlphaRangeError, NotFaithfulError,
                                     NotTraceClassError, UnphysicalStateError)
-from gauss_renyi.kernel import LAM_PSD_TOL, state_to_kernel
+from gauss_renyi.kernel import LAM_PSD_TOL, apply_contraction, state_to_kernel
 from gauss_renyi.sampling import random_faithful_state, random_symplectic
 from gauss_renyi.states import (GaussianState, coherent_state,
                                 gaussian_transform, tensor, thermal_state)
@@ -136,6 +137,92 @@ def test_sweep_matches_single_calls(rng):
         assert report.divergence == sandwiched_renyi(rho, sigma, alpha).divergence
 
 
+def assert_same_report(a: EntropyReport, b: EntropyReport) -> None:
+    """Every field of the two reports is bit-identical."""
+    for name in EntropyReport.__dataclass_fields__:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def fallback_orders(monkeypatch) -> list:
+    """Record how many orders of each stack take the covariance fallback."""
+    seen = []
+    spectrum = entropy.symplectic_eigenvalues
+
+    def counted(cov):
+        seen.append(len(cov))
+        return spectrum(cov)
+
+    monkeypatch.setattr(entropy, "symplectic_eigenvalues", counted)
+    return seen
+
+
+#: rho at t = 0.3 in every mode against sigma's [2.0, 1.5, 2.4]: the contracted
+#: Lambda = k^2 e^-0.3 passes LAMBDA_GATE at low orders, and above about
+#: alpha = 0.79 t_Z takes the covariance fallback
+MIXED_RHO, MIXED_SIGMA, MIXED_S = thermal_state([0.3] * 3), thermal_state([2.0, 1.5, 2.4]), (2.0, 1.5, 2.4)
+
+
+def test_mixed_branch_sweep_matches_series_and_single_calls(monkeypatch):
+    grid = np.linspace(0.3, 0.99, 64)
+    fallbacks = fallback_orders(monkeypatch)
+    reports = sandwiched_renyi_sweep(MIXED_RHO, MIXED_SIGMA, grid)
+    assert len(fallbacks) == 1 and 0 < fallbacks[0] < grid.size  # one stack, both branches
+    for alpha, report in zip(grid, reports):
+        assert report.alpha == alpha
+        series = sum(thermal_series_divergence(0.3, s, alpha) for s in MIXED_S)
+        assert abs(report.divergence - series) < 1e-12
+        assert_same_report(report, sandwiched_renyi(MIXED_RHO, MIXED_SIGMA, alpha))
+
+
+def test_sweep_splits_stacks_at_large_n(rng, monkeypatch):
+    # at n = 32 the per-order stage stacks 16384 // 64^2 = 4 orders at a time
+    rho, sigma = random_faithful_state(rng, 32), random_faithful_state(rng, 32)
+    alphas = np.linspace(0.35, 0.95, 10)
+    stacks = []
+    contract = entropy.apply_contraction
+
+    def recorded(kernel, k):
+        stacks.append(len(k))
+        return contract(kernel, k)
+
+    monkeypatch.setattr(entropy, "apply_contraction", recorded)
+    reports = sandwiched_renyi_sweep(rho, sigma, alphas)
+    assert stacks == [4, 4, 2]
+    for alpha, report in zip(alphas, reports):
+        assert_same_report(report, sandwiched_renyi(rho, sigma, alpha))
+
+
+def test_sweep_keeps_input_order():
+    reports = sandwiched_renyi_sweep(MIXED_RHO, MIXED_SIGMA, [0.9, 0.3, 0.9])
+    assert [r.alpha for r in reports] == [0.9, 0.3, 0.9]
+    for report in reports:
+        assert_same_report(report, sandwiched_renyi(MIXED_RHO, MIXED_SIGMA, report.alpha))
+    assert_same_report(reports[0], reports[2])
+    assert sandwiched_renyi_sweep(MIXED_RHO, MIXED_SIGMA, []) == []
+
+
+def test_lambda_gate_uses_the_spectral_norm(monkeypatch):
+    # a 50:50 beam splitter on rho leaves A = 0 but makes Lambda non-diagonal:
+    # its diagonal then passes LAMBDA_GATE at orders where its norm does not,
+    # and those orders must still take the covariance fallback
+    o = np.sqrt(0.5) * np.array([[1.0, 1.0], [-1.0, 1.0]])
+    rho = gaussian_transform(thermal_state([0.1, 3.0]), np.kron(np.eye(2), o))
+    sigma = thermal_state([1.0, 1.3])
+    kernel = state_to_kernel(reduce_to_thermal(rho, sigma)[0])
+    grid = np.linspace(0.3, 0.99, 24)
+    expected, diagonal_only = [], 0
+    for alpha in grid:
+        lam = apply_contraction(kernel, fractional_power_contraction([1.0, 1.3], alpha)).lam
+        expected.append(np.linalg.norm(lam, 2) > entropy.LAMBDA_GATE)
+        diagonal_only += expected[-1] and np.max(np.diag(lam).real) <= entropy.LAMBDA_GATE
+    assert 0 < diagonal_only and not all(expected)
+    fallbacks = fallback_orders(monkeypatch)
+    for alpha, fallback in zip(grid, expected):
+        fallbacks.clear()
+        sandwiched_renyi(rho, sigma, alpha)
+        assert fallbacks == ([1] if fallback else [])
+
+
 def test_reduce_to_thermal_orders_parameters(rng):
     sigma = random_faithful_state(rng, 3)
     rho = random_faithful_state(rng, 3)
@@ -146,6 +233,15 @@ def test_reduce_to_thermal_orders_parameters(rng):
 def test_sigma_must_be_faithful():
     with pytest.raises(NotFaithfulError, match="faithful"):
         sandwiched_renyi(thermal_state(1.0), coherent_state(0.3), 0.5)
+
+
+def test_near_pure_sigma_names_the_pure_limit():
+    # t = 30 puts d - 1/2 at 9e-14, inside PURE_TOL: the message names that limit
+    with pytest.raises(NotFaithfulError) as err:
+        sandwiched_renyi(thermal_state(1.0), thermal_state(30.0), 0.5)
+    message = str(err.value)
+    assert "PURE_TOL = 1e-09" in message and "t below 20.7" in message
+    assert "got d - 1/2 = [9.3" in message
 
 
 def test_mode_count_mismatch(rng):
@@ -273,8 +369,9 @@ def test_near_bound_verdict_is_frame_invariant(frame, gap, accepted):
                 if not accepted:
                     with pytest.raises(UnphysicalStateError) as err:
                         evaluate()
-                    assert str(err.value) == (f"{role} is unphysical: symplectic "
-                                              "eigenvalue 0.5 < 0.5 (Heisenberg bound)")
+                    assert str(err.value) == (
+                        f"{role} is unphysical: symplectic eigenvalue d = 0.5 - 2e-10 is below "
+                        "the Heisenberg bound 0.5 by more than the slack PHYSICAL_TOL = 1e-10")
                 elif role == "sigma":
                     with pytest.raises(NotFaithfulError):  # physical, but pure
                         evaluate()

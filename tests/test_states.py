@@ -13,6 +13,7 @@ from gauss_renyi.states import (GaussianState, coherent_state,
                                 require_physical, squeezed_vacuum,
                                 symplectic_form, tensor, thermal_state,
                                 validate_state)
+from gauss_renyi.williamson import d_to_t
 
 LN2 = math.log(2.0)
 
@@ -127,6 +128,20 @@ def test_validate_state_flags_heisenberg():
     assert any("0.5" in m for m in msgs)
     with pytest.raises(UnphysicalStateError):
         require_physical(state)
+
+
+def test_heisenberg_message_shows_distance_below_bound():
+    # 5e-10 below the bound: the message shows d - 1/2 and the slack, where a
+    # six-digit d read "0.5 < 0.5"
+    d = 0.5 - 5e-10
+    expected = ("symplectic eigenvalue d = 0.5 - 5e-10 is below the Heisenberg "
+                "bound 0.5 by more than the slack PHYSICAL_TOL = 1e-10")
+    with pytest.raises(UnphysicalStateError) as err:
+        d_to_t(np.array([1.0, d]))
+    assert str(err.value) == expected
+    with pytest.raises(UnphysicalStateError) as err:
+        require_physical(GaussianState(np.zeros(2), d * np.eye(2)))
+    assert str(err.value) == "state is unphysical: " + expected
 
 
 def test_random_states_are_physical(rng):
