@@ -27,7 +27,7 @@ import numpy as np
 from .exceptions import AlphaRangeError, ModeMismatchError, NotFaithfulError
 # kernel_to_state is not called here, but stays bound: perfbench's tracer
 # wraps every stage name of the pipeline in this module
-from .kernel import (CoherentKernel, apply_contraction, kernel_covariance,  # noqa: F401
+from .kernel import (CoherentKernel, apply_contraction, form_inverse,  # noqa: F401
                      kernel_to_state, log_kernel_trace, state_to_kernel)
 from .states import PURE_TOL, GaussianState, gaussian_transform, require_physical
 from .williamson import symplectic_eigenvalues, williamson_decompose, d_to_t
@@ -132,9 +132,11 @@ def _contracted_thermal_parameters(z: CoherentKernel) -> np.ndarray:
     hermitian Lambda the 2-norm is its largest eigenvalue modulus, so one
     stacked eigvalsh gives both; max_j Lambda_jj <= lambda_max screens out,
     before any eigensolve, the orders whose norm must exceed the gate.  The
-    other orders fall back on the covariance, whose spectral gap above 1/2
-    resolves e^(-t_Z) only down to the eigensolver noise floor; it comes
-    from the form-matrix Cholesky factor that log_kernel_trace has taken.
+    other orders fall back on the symplectic spectrum of the covariance,
+    whose gap above 1/2 resolves e^(-t_Z) only down to the eigensolver noise
+    floor.  It is taken of M^{-1} - I/2 = J S J^T, which has the spectrum of
+    the covariance S without its J-congruence, and M^{-1} comes from the
+    form-matrix Cholesky factor that log_kernel_trace has taken.
     """
     t = np.empty(z.mu.shape)
     free = ((abs(z.A).max(axis=(-2, -1)) <= PAIR_FREE_GATE)
@@ -146,8 +148,9 @@ def _contracted_thermal_parameters(z: CoherentKernel) -> np.ndarray:
         lam = lam[inside]
         t[free] = np.where(lam > 0.0, -np.log(np.where(lam > 0.0, lam, 1.0)), np.inf)
     if not free.all():
-        cov, _ = kernel_covariance(z, ~free)
-        t[~free] = d_to_t(symplectic_eigenvalues(cov), pure_tol=COV_GAP_FLOOR)
+        turned = form_inverse(z, ~free)
+        turned -= 0.5 * np.eye(turned.shape[-1])
+        t[~free] = d_to_t(symplectic_eigenvalues(turned), pure_tol=COV_GAP_FLOOR)
     t.sort(axis=-1)
     return t
 

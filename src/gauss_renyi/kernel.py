@@ -12,8 +12,11 @@ and their traces all have closed forms in this parametrization.
 
 A stack of contractions (apply_contraction) gives a stack of kernels that
 share c: mu, A and Lam carry a leading axis, one entry per contraction, and
-form_matrix, log_kernel_trace and kernel_covariance work on every entry at
-once through numpy.linalg's stacked (..., m, m) routines.
+form_matrix, log_kernel_trace and form_inverse work on every entry at once
+through numpy.linalg's stacked (..., m, m) routines.  NumPy has no
+triangular solver, so Cholesky factors are never handed to its LU-based
+solve or inv: the trace reads b . M^{-1} b off a bordered factor, and
+inverses of factors come from lower_triangular_inverse.
 """
 
 from __future__ import annotations
@@ -33,6 +36,15 @@ LAM_PSD_TOL = 1e-10
 #: minimum squared Cholesky pivot of the real form matrix for trace-class
 #: operators
 FORM_MIN_EIG = 1e-12
+#: corner of the bordered form matrix [[M, b], [b^T, _BORDER]], whose last
+#: squared pivot is _BORDER - b . M^{-1} b.  A state's kernel, contracted or
+#: not, has Tr Z <= 1 and M <= 2I, so b . M^{-1} b <= ln det M / 2 - ln c
+#: <= n ln 2 + 745 while c is representable; the border fails only past
+#: b . M^{-1} b = 1e300
+_BORDER = 1e300
+#: lower_triangular_inverse hands diagonal blocks of at most this size to
+#: numpy.linalg.inv
+_TRI_LEAF = 16
 
 
 @dataclass(frozen=True)
@@ -65,18 +77,30 @@ class CoherentKernel:
 
     @cached_property
     def _form_factor(self):
-        """Lower factor L of the numpy.linalg Cholesky M(A, lam) = L L^T, shared
-        by the trace and the covariance, or None unless M is positive definite
-        with every squared pivot above FORM_MIN_EIG (for a stack: every M of
-        it).  The factorization is the definiteness test, so no eigensolve
-        runs; a squared pivot is never below the smallest eigenvalue, so the
-        margin bounds pivots, not the spectrum.
+        """Lower numpy.linalg Cholesky factor F of the bordered form matrix
+        [[M(A, lam), b], [b^T, _BORDER]], b = (Re mu, -Im mu), shared by the
+        trace and the covariance, or None unless M is positive definite with
+        every squared pivot above FORM_MIN_EIG (for a stack: every M of it).
+        The leading block of F is the Cholesky factor L of M, and its last
+        row is y = L^{-1} b, so b . M^{-1} b = |y|^2 needs no solve.  The
+        factorization is the definiteness test, so no eigensolve runs; a
+        squared pivot is never below the smallest eigenvalue, so the margin
+        bounds pivots, not the spectrum.
         """
+        M = form_matrix(self.A, self.lam)
+        m = M.shape[-1]
+        bordered = np.empty(M.shape[:-2] + (m + 1, m + 1))
+        bordered[..., :m, :m] = M
+        b = bordered[..., m, :m]
+        b[..., :m // 2] = self.mu.real
+        np.negative(self.mu.imag, out=b[..., m // 2:])
+        bordered[..., :m, m] = b
+        bordered[..., m, m] = _BORDER
         try:
-            L = np.linalg.cholesky(form_matrix(self.A, self.lam))
+            F = np.linalg.cholesky(bordered)
         except np.linalg.LinAlgError:
             return None
-        return L if float(L.diagonal(0, -2, -1).min()) ** 2 > FORM_MIN_EIG else None
+        return F if float(F.diagonal(0, -2, -1)[..., :m].min()) ** 2 > FORM_MIN_EIG else None
 
 
 def _set_fields(kernel: CoherentKernel, c, mu, A, lam) -> CoherentKernel:
@@ -118,6 +142,27 @@ def _add_to_diagonal(M: np.ndarray, value: float) -> None:
     M.reshape(M.shape[:-2] + (-1,))[..., ::M.shape[-1] + 1] += value
 
 
+def lower_triangular_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular L, or of each matrix of a stack (..., m, m).
+
+    Blocked: L = [[L11, 0], [L21, L22]] has the inverse
+    [[L11^{-1}, 0], [-L22^{-1} L21 L11^{-1}, L22^{-1}]], recursing on the
+    halves; the off-diagonal block takes two matmuls.  Diagonal blocks of
+    at most _TRI_LEAF go to numpy.linalg.inv transposed, since the LU of an
+    upper-triangular matrix swaps no rows, so the result is exactly
+    lower triangular.
+    """
+    m = L.shape[-1]
+    if m <= _TRI_LEAF:
+        return np.linalg.inv(L.swapaxes(-1, -2)).swapaxes(-1, -2)
+    h = m // 2
+    inv = np.zeros(L.shape)
+    i11 = inv[..., :h, :h] = lower_triangular_inverse(L[..., :h, :h])
+    i22 = inv[..., h:, h:] = lower_triangular_inverse(L[..., h:, h:])
+    np.negative(i22 @ (L[..., h:, :h] @ i11), out=inv[..., h:, :h])
+    return inv
+
+
 def log_kernel_trace(kernel: CoherentKernel):
     """ln Tr Z for a positive kernel, or an array of them for a stack of
     kernels; raises NotTraceClassError unless M(A, lam) is positive definite
@@ -125,19 +170,19 @@ def log_kernel_trace(kernel: CoherentKernel):
 
     Tr Z = c / sqrt(det M) * exp(b . M^{-1} b) with b = (Re mu, -Im mu);
     the sign on the imaginary block comes from the conjugate slot of the
-    coherent-vector resolution of the identity.  With the Cholesky factor
-    M = L L^T kept for kernel_covariance, b . M^{-1} b = |L^{-1} b|^2 by one
-    LU solve with L (NumPy has no triangular solver); ln det M = 2 sum ln L_jj.
+    coherent-vector resolution of the identity.  Both come from the
+    bordered Cholesky factor (_form_factor): ln det M = 2 sum ln L_jj over
+    its leading block L, and b . M^{-1} b = |y|^2 over its last row
+    y = L^{-1} b, with no solve.
     """
-    L = kernel._form_factor
-    if L is None:
+    F = kernel._form_factor
+    if F is None:
         raise NotTraceClassError(
             "not trace class: form matrix not positive definite "
             f"(needs min eigenvalue > {FORM_MIN_EIG:.0e})")
-    logdet = 2.0 * np.log(L.diagonal(0, -2, -1)).sum(axis=-1)
-    b = np.concatenate([kernel.mu.real, -kernel.mu.imag], axis=-1)
-    y = np.linalg.solve(L, b[..., None])
-    trace = np.log(kernel.c) - 0.5 * logdet + (y.swapaxes(-1, -2) @ y)[..., 0, 0]
+    logdet = 2.0 * np.log(F.diagonal(0, -2, -1)[..., :-1]).sum(axis=-1)
+    y = F[..., -1:, :-1]
+    trace = np.log(kernel.c) - 0.5 * logdet + (y @ y.swapaxes(-1, -2))[..., 0, 0]
     return trace if trace.ndim else float(trace)
 
 
@@ -157,6 +202,9 @@ def state_to_kernel(state: GaussianState) -> CoherentKernel:
     kernel, which fixes every conjugation above.  Raises NotTraceClassError
     when c underflows, which a displacement |m| above about 27 can cause.
 
+    One Cholesky factor I/2 + S = L L^T gives both: ln det = 2 sum ln L_jj,
+    and G = L^{-T} L^{-1} with L^{-1} from lower_triangular_inverse.
+
     The state is taken to be physical (require_physical), so CoherentKernel's
     checks and their eigensolve are not run: A and lam are symmetrized above,
     and a state that passes require_physical has
@@ -169,8 +217,8 @@ def state_to_kernel(state: GaussianState) -> CoherentKernel:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded upstream
         raise UnphysicalStateError(f"covariance shifted by I/2 not positive definite: {exc}")
     logdet = 2.0 * float(np.log(L.diagonal()).sum())
-    Li = np.linalg.inv(L.T)  # L^{-T}: the LU of an upper-triangular matrix swaps no rows
-    G = Li @ Li.T
+    Li = lower_triangular_inverse(L)
+    G = Li.T @ Li
 
     g11, g12 = G[:n, :n], G[:n, n:]
     g21, g22 = G[n:, :n], G[n:, n:]
@@ -191,47 +239,46 @@ def state_to_kernel(state: GaussianState) -> CoherentKernel:
     return _set_fields(object.__new__(CoherentKernel), c, mu, A, lam)
 
 
-def kernel_covariance(kernel: CoherentKernel, orders=...) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance S of the state of a normalizable kernel, and the M^{-1} it
-    comes from; for a stack of kernels, of the entries that orders selects.
+def form_inverse(kernel: CoherentKernel, orders=...) -> np.ndarray:
+    """M(A, lam)^{-1} = L^{-T} L^{-1} of a normalizable kernel; for a stack of
+    kernels, of the entries that orders selects.
 
-    S = M(-A, lam)^{-1} - I/2 = J^T M(A, lam)^{-1} J - I/2, since
-    M(-A, lam) = J^T M(A, lam) J exactly.  M^{-1} = L^{-T} L^{-1}, with L
-    the Cholesky factor that log_kernel_trace shares, and J^T X J =
-    [[X22, -X21], [-X12, X11]] is copied block by block, which gives the
-    bits of the two products with J.  Raises UnphysicalStateError when the form
-    matrix is singular or indefinite.
+    L is the leading block of the Cholesky factor that log_kernel_trace
+    shares, inverted by lower_triangular_inverse.  M^{-1} - I/2 = J S J^T
+    is the covariance S of the kernel's state turned by the symplectic J,
+    so it has S's symplectic spectrum.  Raises UnphysicalStateError when
+    the form matrix is singular or indefinite.
     """
-    L = kernel._form_factor
-    if L is None:
+    F = kernel._form_factor
+    if F is None:
         raise UnphysicalStateError(
             "kernel parameters do not describe a normalizable gaussian state")
-    n = kernel.n
-    Li = np.linalg.inv(L[orders].swapaxes(-1, -2))  # L^{-T}, as in state_to_kernel
-    inv = Li @ Li.swapaxes(-1, -2)
-    cov = np.empty(inv.shape)
-    cov[..., :n, :n] = inv[..., n:, n:]
-    np.negative(inv[..., n:, :n], out=cov[..., :n, n:])
-    np.negative(inv[..., :n, n:], out=cov[..., n:, :n])
-    cov[..., n:, n:] = inv[..., :n, :n]
-    _add_to_diagonal(cov, -0.5)
-    cov = cov + cov.swapaxes(-1, -2)
-    cov *= 0.5
-    return cov, inv
+    Li = lower_triangular_inverse(F[orders, :-1, :-1])
+    return Li.swapaxes(-1, -2) @ Li
 
 
 def kernel_to_state(kernel: CoherentKernel) -> GaussianState:
     """Recover (mean, covariance) from a normalizable Gaussian kernel.
 
-    The covariance is kernel_covariance's, and the mean inverts the
+    S = M(-A, lam)^{-1} - I/2 = J^T M(A, lam)^{-1} J - I/2, since
+    M(-A, lam) = J^T M(A, lam) J exactly.  M^{-1} is form_inverse's, and
+    J^T X J = [[X22, -X21], [-X12, X11]] is copied block by block, which
+    gives the bits of the two products with J.  The mean inverts the
     displacement map of state_to_kernel: m_r = Xi M(A, lam)^{-1} Xi mu_r
     where Xi negates the imaginary block.  Raises UnphysicalStateError when
     the form matrix is singular or indefinite.
     """
-    cov, inv = kernel_covariance(kernel)
-    xi = np.repeat([1.0, -1.0], kernel.n)
+    n = kernel.n
+    inv = form_inverse(kernel)
+    cov = np.empty(inv.shape)
+    cov[:n, :n] = inv[n:, n:]
+    np.negative(inv[n:, :n], out=cov[:n, n:])
+    np.negative(inv[:n, n:], out=cov[n:, :n])
+    cov[n:, n:] = inv[:n, :n]
+    _add_to_diagonal(cov, -0.5)
+    xi = np.repeat([1.0, -1.0], n)
     mean = xi * (inv @ (xi * np.concatenate([kernel.mu.real, kernel.mu.imag])))
-    return GaussianState(mean, cov)
+    return GaussianState(mean, 0.5 * (cov + cov.T))
 
 
 def apply_contraction(kernel: CoherentKernel, k: np.ndarray) -> CoherentKernel:
@@ -239,14 +286,16 @@ def apply_contraction(kernel: CoherentKernel, k: np.ndarray) -> CoherentKernel:
 
     Gamma(K) is the second quantization of K = diag(k); sandwiching maps
     (c, mu, A, lam) to (c, K mu, K A K, K lam K).  Entries of k must lie
-    in [0, 1].  A stack of contractions k of shape (m, n) gives the stack
-    of m sandwiched kernels.  A real diagonal K keeps A symmetric and lam
-    hermitian PSD, so CoherentKernel's checks and their eigensolve are not
-    run again.
+    in [0, 1], and NaN or inf raises ValueError.  A stack of contractions k
+    of shape (m, n) gives the stack of m sandwiched kernels.  A real
+    diagonal K keeps A symmetric and lam hermitian PSD, so CoherentKernel's
+    checks and their eigensolve are not run again.
     """
     k = np.asarray(k, dtype=float)
     if k.ndim not in (1, 2) or k.shape[-1] != kernel.n:
         raise ValueError(f"contraction has shape {k.shape} for {kernel.n} modes")
+    if not np.isfinite(k).all():
+        raise ValueError(f"contraction entries must be finite, got {k}")
     if (k < 0.0).any() or (k > 1.0 + 1e-12).any():
         raise ValueError(f"contraction violation: diagonal entries must be in [0, 1], got {k}")
     outer = k[..., :, None] * k[..., None, :]

@@ -15,6 +15,10 @@ The per-order stage runs on stacks of orders, so a stacked (..., m, m)
 argument counts once per matrix, as perfbench's LinalgCounter counts it.
 The bindings inside numpy.linalg's implementation module are wrapped too,
 so a factorization that a helper such as norm(x, 2) runs is counted.
+
+No Cholesky factor goes through an LU: test_no_solve_and_small_inverses
+pins that the pipeline calls numpy.linalg.solve nowhere and inv only on the
+diagonal blocks of kernel.lower_triangular_inverse.
 """
 
 import importlib
@@ -47,6 +51,11 @@ SIGMA = thermal_state([0.8, 1.5])
 PAIR_FREE_RHO = GaussianState(np.array([0.3, -0.2, 0.1, 0.4]), thermal_state([0.6, 1.1]).cov)
 #: a squeezed mode gives a pair block A, so t_Z takes the covariance fallback
 FALLBACK_RHO = tensor(squeezed_vacuum(0.4), thermal_state(1.0))
+#: ten modes, so the 20 x 20 factors are inverted by blocks
+SIGMA_10 = thermal_state(np.linspace(0.8, 1.5, 10))
+PAIR_FREE_RHO_10 = GaussianState(np.linspace(-0.4, 0.5, 20),
+                                 thermal_state(np.linspace(0.7, 1.2, 10)).cov)
+FALLBACK_RHO_10 = tensor(squeezed_vacuum(0.4), thermal_state(np.linspace(0.7, 1.2, 9)))
 
 
 def matrices(args) -> int:
@@ -123,3 +132,41 @@ def test_rho_kernel_factorizations(counts, rho, per_call):
     assert kernel == 1
     single, _ = factorizations(counts, lambda: entropy.sandwiched_renyi(rho, SIGMA, 0.5))
     assert single == per_call
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """(name, matrix size, matrices) of each numpy.linalg solve and inv call."""
+    calls = []
+
+    def recorded(fn, name):
+        def wrapper(*args, **kwargs):
+            calls.append((name, np.shape(args[0])[-1], matrices(args)))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (numpy.linalg, NUMPY_LINALG_IMPL):
+        for name in ("solve", "inv"):
+            monkeypatch.setattr(module, name, recorded(getattr(module, name), name))
+    return calls
+
+
+@pytest.mark.parametrize("rho,sigma,branch", [
+    (PAIR_FREE_RHO, SIGMA, 0),
+    (FALLBACK_RHO, SIGMA, 1),
+    (PAIR_FREE_RHO_10, SIGMA_10, 0),
+    (FALLBACK_RHO_10, SIGMA_10, 1),
+], ids=["pair-free-2", "fallback-2", "pair-free-10", "fallback-10"])
+def test_no_solve_and_small_inverses(counts, solves, rho, sigma, branch):
+    for orders, call in ((1, lambda: entropy.sandwiched_renyi(rho, sigma, 0.5)),
+                         (3, lambda: entropy.sandwiched_renyi_sweep(rho, sigma, [0.3, 0.5, 0.7]))):
+        solves.clear()
+        _, fallbacks = factorizations(counts, call)
+        assert fallbacks == branch * orders
+        assert [call for call in solves if call[0] == "solve"] == []
+        sizes = {size for _, size, _ in solves}
+        assert sizes and max(sizes) <= 16  # kernel._TRI_LEAF
+        # the diagonal blocks of each inverted 2n x 2n factor add up to 2n:
+        # one factor for rho's kernel and, on the fallback, one per order
+        inverted = sum(size * count for _, size, count in solves)
+        assert inverted == 2 * rho.n * (1 + branch * orders)

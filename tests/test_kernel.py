@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from helpers import analytic_coherent_thermal
+from gauss_renyi.entropy import (fractional_power_contraction, reduce_to_thermal,
+                                 sandwiched_renyi)
 from gauss_renyi.exceptions import NotTraceClassError, UnphysicalStateError
 from gauss_renyi.kernel import (CoherentKernel, apply_contraction,
                                 evaluate_kernel, form_matrix, kernel_to_state,
-                                log_kernel_trace, state_to_kernel)
+                                log_kernel_trace, lower_triangular_inverse,
+                                state_to_kernel)
 from gauss_renyi.recipes import phase_congruence
 from gauss_renyi.sampling import random_faithful_state
 from gauss_renyi.states import (coherent_state, gaussian_transform,
@@ -111,6 +115,13 @@ def test_contraction_rejects_out_of_range(rng):
         apply_contraction(k, np.array([0.5]))
 
 
+def test_contraction_rejects_non_finite_entries():
+    k = state_to_kernel(thermal_state(1.0))
+    for bad in ([math.nan], [math.inf], [[0.5], [math.nan]]):
+        with pytest.raises(ValueError, match="contraction entries must be finite"):
+            apply_contraction(k, np.array(bad))
+
+
 def test_not_trace_class_guard():
     # lam = I makes the form matrix singular: the operator has no trace
     bad = CoherentKernel(c=1.0, mu=np.zeros(1), A=np.zeros((1, 1)),
@@ -157,3 +168,78 @@ def test_evaluate_kernel_matches_manual(rng):
     manual = k.c * np.exp(k.mu.conj() @ u + k.mu @ v + u @ k.A @ u
                           + u @ k.lam @ v + v @ k.A.conj() @ v)
     assert np.isclose(evaluate_kernel(k, u, v), manual, rtol=1e-14)
+
+
+def random_lower_factors(rng, shape, m):
+    """Cholesky factors of well-conditioned random SPD matrices."""
+    x = rng.normal(size=shape + (m, m))
+    return np.linalg.cholesky(x @ x.swapaxes(-1, -2) / m + np.eye(m))
+
+
+@pytest.mark.parametrize("m", [2, 6, 34, 128])
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_lower_triangular_inverse(rng, shape, m):
+    # 34 and 128 halve through odd sizes (17) and several levels of blocks
+    L = random_lower_factors(rng, shape, m)
+    inv = lower_triangular_inverse(L)
+    assert inv.shape == L.shape
+    assert np.array_equal(np.triu(inv, 1), np.zeros(L.shape))
+    assert np.max(np.abs(inv @ L - np.eye(m))) <= 1e-13
+    assert np.max(np.abs(inv - np.linalg.inv(L))) <= 1e-13
+
+
+def independent_log_trace(kernel) -> float:
+    """ln Tr Z = ln c - ln det(M)/2 + b . M^{-1} b with M built from its
+    definition and evaluated by slogdet and a solve."""
+    a, lam = kernel.A, kernel.lam
+    M = (np.eye(2 * kernel.n)
+         - np.block([[lam.real, -lam.imag], [lam.imag, lam.real]])
+         - 2.0 * np.block([[a.real, a.imag], [a.imag, -a.real]]))
+    b = np.concatenate([kernel.mu.real, -kernel.mu.imag])
+    sign, logdet = np.linalg.slogdet(M)
+    assert sign > 0
+    return math.log(kernel.c) - 0.5 * logdet + float(b @ np.linalg.solve(M, b))
+
+
+def test_bordered_trace_matches_slogdet_and_solve(rng):
+    for n in (1, 3, 8):
+        for _ in range(4):
+            kernel = state_to_kernel(random_faithful_state(rng, n, mean_scale=2.0))
+            contractions = rng.uniform(0.2, 1.0, size=(3, n))
+            stacked = log_kernel_trace(apply_contraction(kernel, contractions))
+            for k, value in zip(contractions, stacked):
+                z = apply_contraction(kernel, k)
+                expected = independent_log_trace(z)
+                assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+                assert log_kernel_trace(z) == value
+
+
+def test_bordered_trace_of_large_displacement():
+    # coherent_state(26) in the frame of thermal_state(1.0): c = e^-676 and
+    # b . M^{-1} b = 676 cancel to Tr = 1
+    rho_prime, s = reduce_to_thermal(coherent_state(26.0), thermal_state(1.0))
+    kernel = state_to_kernel(rho_prime)
+    assert math.isclose(log_kernel_trace(kernel) - math.log(kernel.c), 676.0, rel_tol=1e-14)
+    assert abs(log_kernel_trace(kernel)) < 1e-12
+    for alpha in (0.3, 0.5, 0.9):
+        z = apply_contraction(kernel, fractional_power_contraction(s, alpha))
+        expected = independent_log_trace(z)
+        assert abs(log_kernel_trace(z) - expected) <= 1e-14 * 676.0
+        report = sandwiched_renyi(coherent_state(26.0), thermal_state(1.0), alpha)
+        exact = analytic_coherent_thermal(26.0, 1.0, alpha)
+        assert abs(report.divergence - exact) <= 1e-12 * exact
+    # far beyond any state's kernel, the border still leaves a positive pivot
+    huge = CoherentKernel(c=1.0, mu=np.array([1e3, 2e3j]), A=np.zeros((2, 2)),
+                          lam=np.zeros((2, 2)))
+    assert math.isclose(log_kernel_trace(huge), 5e6, rel_tol=1e-15)
+
+
+def test_bordered_trace_rejects_indefinite_form_matrix():
+    # one mode of lam above 1 makes M indefinite whatever the border holds
+    bad = CoherentKernel(c=1.0, mu=np.array([0.3 + 0.2j, -1.0]), A=np.zeros((2, 2)),
+                         lam=np.diag([0.2, 1.5]))
+    with pytest.raises(NotTraceClassError, match="form matrix not positive definite"):
+        log_kernel_trace(bad)
+    stack = apply_contraction(bad, np.array([[0.5, 0.5], [1.0, 1.0]]))
+    with pytest.raises(NotTraceClassError, match="form matrix not positive definite"):
+        log_kernel_trace(stack)
