@@ -7,8 +7,10 @@ Subcommands
   convert     generating-kernel quadruple of one state, plus its round trip
   verify      built-in closed-form vs oracle cross-check suite
 
-Every number is printed at 12 significant digits and infinities appear as
-the string "inf".  Exit status: 0 success; 2 domain errors (unphysical or
+State files are positional: RHO SIGMA for entropy and sweep, STATE for
+williamson and convert.  Every reported number is printed at 12 significant
+digits (verify's table prints differences and tolerances in short exponent
+form) and infinities appear as the string "inf".  Exit status: 0 success; 2 domain errors (unphysical or
 non-faithful states, mode mismatches, orders outside (0,1), bad suite
 selections); 1 I/O problems, malformed state files, or verify-suite failures.
 """
@@ -16,8 +18,8 @@ selections); 1 I/O problems, malformed state files, or verify-suite failures.
 import argparse
 import json
 import math
-import os
 import sys
+from dataclasses import asdict
 
 from .entropy import EntropyReport, sandwiched_renyi, sandwiched_renyi_sweep
 from .exceptions import GaussRenyiError, StateFileError
@@ -30,10 +32,12 @@ from .williamson import williamson_decompose
 _LABEL_WIDTH = 12
 
 
-def _fmt(value: float) -> str:
+def _fmt(value) -> str:
+    """A number, or a JSON payload's "inf"/"-inf", at 12 significant digits."""
+    value = float(value)
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
-    return f"{round12(float(value)):.12g}"
+    return f"{round12(value):.12g}"
 
 
 def _fmt_vec(values) -> str:
@@ -87,48 +91,28 @@ def _emit(payload: dict, fmt: str) -> None:
         _print_key_values(payload)
 
 
-def _resolve_path(flag_value, pos_value, name: str, parser: argparse.ArgumentParser) -> str:
-    if flag_value and pos_value:
-        parser.error(f"{name} state given both as flag and positional argument")
-    path = flag_value or pos_value
-    if not path:
-        parser.error(f"missing {name} state file")
-    return path
-
-
-def _load_pair(args, parser) -> tuple:
-    rho = load_state(_resolve_path(args.rho, args.rho_pos, "rho", parser))
-    sigma = load_state(_resolve_path(args.sigma, args.sigma_pos, "sigma", parser))
-    return rho, sigma
-
-
-def _load_single(args, parser):
-    return load_state(_resolve_path(args.rho, args.state_pos, "input", parser))
-
-
-def cmd_entropy(args, parser) -> int:
-    rho, sigma = _load_pair(args, parser)
-    report = sandwiched_renyi(rho, sigma, args.alpha)
+def cmd_entropy(args) -> int:
+    report = sandwiched_renyi(load_state(args.rho), load_state(args.sigma), args.alpha)
     _emit(_report_payload(report), args.format)
     return 0
 
 
-def cmd_sweep(args, parser) -> int:
-    rho, sigma = _load_pair(args, parser)
-    reports = sandwiched_renyi_sweep(rho, sigma, args.alphas)
+def cmd_sweep(args) -> int:
+    reports = sandwiched_renyi_sweep(load_state(args.rho), load_state(args.sigma),
+                                     args.alphas)
     payloads = [_report_payload(r) for r in reports]
     if args.format == "json":
         print(json.dumps({"results": payloads}, indent=2))
     else:
-        print(f"{'alpha':>8s} {'divergence':>18s} {'T_alpha':>18s} {'trace_Z':>18s}")
+        columns = ("alpha", "divergence", "T_alpha", "trace_Z")
+        print(" ".join(f"{c:>18s}" for c in columns))
         for p in payloads:
-            print(f"{p['alpha']:>8g} {p['divergence']:>18g} "
-                  f"{p['T_alpha']:>18g} {p['trace_Z']:>18}")
+            print(" ".join(f"{_fmt(p[c]):>18s}" for c in columns))
     return 0
 
 
-def cmd_williamson(args, parser) -> int:
-    state = _load_single(args, parser)
+def cmd_williamson(args) -> int:
+    state = load_state(args.state)
     form = require_physical(state, "state", williamson_decompose)
     payload = {
         "n": state.n,
@@ -144,12 +128,12 @@ def cmd_williamson(args, parser) -> int:
         print(f"{'t':<{_LABEL_WIDTH}} {_fmt_vec(form.t)}")
         print("L")
         for row in form.L:
-            print("  " + "  ".join(f"{x:>16.9g}" for x in row))
+            print("  " + "  ".join(f"{_fmt(x):>18s}" for x in row))
     return 0
 
 
-def cmd_convert(args, parser) -> int:
-    state = _load_single(args, parser)
+def cmd_convert(args) -> int:
+    state = load_state(args.state)
     require_physical(state, "state")
     kernel = state_to_kernel(state)
     back = kernel_to_state(kernel)
@@ -175,39 +159,21 @@ def cmd_convert(args, parser) -> int:
     return 0
 
 
-def cmd_verify(args, parser) -> int:
-    tol_override = None
-    env_tol = os.environ.get("GAUSS_RENYI_TOL")
-    if env_tol:
-        try:
-            tol_override = float(env_tol)
-        except ValueError:
-            raise GaussRenyiError(
-                f"GAUSS_RENYI_TOL must be a number, got {env_tol!r}") from None
-    groups = args.suite.split(",") if args.suite is not None else None
-    if groups is not None:
-        groups = [g.strip() for g in groups if g.strip()]
-    rows = run_suite(groups, cutoff=args.verify_cutoff, tol_override=tol_override)
-    counts = {"pass": 0, "fail": 0, "skip": 0}
-    for row in rows:
-        counts[row.status] += 1
+def cmd_verify(args) -> int:
+    groups = None
+    if args.suite is not None:
+        groups = [g.strip() for g in args.suite.split(",") if g.strip()]
+    rows = run_suite(groups, cutoff=args.verify_cutoff)
     if args.format == "json":
-        payload = {
-            "rows": [{
-                "name": row.name,
-                "group": row.group,
-                "alpha": json_number(row.alpha),
-                "closed": json_number(row.closed),
-                "oracle": json_number(row.oracle),
-                "diff": json_number(row.diff),
-                "tol": json_number(row.tol),
-                "status": row.status,
-                "note": row.note,
-            } for row in rows],
+        print(json.dumps({
+            "rows": [{key: json_number(value) if isinstance(value, float) else value
+                      for key, value in asdict(row).items()} for row in rows],
             "passed": suite_passed(rows),
-        }
-        print(json.dumps(payload, indent=2))
+        }, indent=2))
     else:
+        counts = {"pass": 0, "fail": 0, "skip": 0}
+        for row in rows:
+            counts[row.status] += 1
         header = (f"{'status':<6s} {'group':<9s} {'name':<42s} {'alpha':>6s} "
                   f"{'|closed-oracle|':>16s} {'tol':>8s}")
         print(header)
@@ -239,12 +205,8 @@ def _alpha_grid(text: str) -> list:
 
 
 def _add_pair_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--rho", help="state file for rho")
-    sub.add_argument("--sigma", help="state file for sigma")
-    sub.add_argument("rho_pos", nargs="?", metavar="RHO",
-                     help="state file for rho (alternative to --rho)")
-    sub.add_argument("sigma_pos", nargs="?", metavar="SIGMA",
-                     help="state file for sigma (alternative to --sigma)")
+    sub.add_argument("rho", metavar="RHO", help="state file for rho")
+    sub.add_argument("sigma", metavar="SIGMA", help="state file for sigma")
 
 
 def _add_format_argument(sub: argparse.ArgumentParser) -> None:
@@ -275,17 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("williamson",
                           help="thermal-reduction data of one state")
-    sub.add_argument("--rho", help="state file")
-    sub.add_argument("state_pos", nargs="?", metavar="STATE",
-                     help="state file (alternative to --rho)")
+    sub.add_argument("state", metavar="STATE", help="state file")
     _add_format_argument(sub)
     sub.set_defaults(func=cmd_williamson)
 
     sub = subs.add_parser("convert",
                           help="generating-kernel quadruple of one state")
-    sub.add_argument("--rho", help="state file")
-    sub.add_argument("state_pos", nargs="?", metavar="STATE",
-                     help="state file (alternative to --rho)")
+    sub.add_argument("state", metavar="STATE", help="state file")
     _add_format_argument(sub)
     sub.set_defaults(func=cmd_convert)
 
@@ -305,7 +263,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except StateFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

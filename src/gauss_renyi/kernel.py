@@ -63,6 +63,9 @@ class CoherentKernel:
         lam = np.asarray(self.lam, dtype=complex).reshape(n, n)
         if not self.c > 0:
             raise ValueError(f"kernel scale c must be positive, got {self.c}")
+        for name, arr in (("mu", mu), ("A", A), ("lam", lam)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"kernel {name} has non-finite entries")
         if np.max(np.abs(A - A.T)) > KERNEL_SYM_TOL:
             raise ValueError("kernel matrix A must be complex symmetric")
         if np.max(np.abs(lam - lam.conj().T)) > KERNEL_SYM_TOL:

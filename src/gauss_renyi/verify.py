@@ -11,13 +11,15 @@ Five row groups compare independent computations:
   trace     the contracted-kernel trace against a dense diagonal-contraction
             sandwich
 
-Dense rows carry a truncation guard: the oracle is evaluated at two cutoffs
-and a large residual marks the row "skip (cutoff not converged)" instead of
-failing, so small --verify-cutoff values degrade gracefully.
+One loop judges a table of cases.  Dense oracles are evaluated at two
+cutoffs and a large residual marks the row "skip (cutoff not converged)"
+instead of failing, so small --verify-cutoff values degrade gracefully.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,12 +27,22 @@ from .entropy import fractional_power_contraction, sandwiched_renyi
 from .exceptions import GaussRenyiError
 from .fock import (DEFAULT_CUTOFF_1MODE, DEFAULT_CUTOFF_2MODE,
                    DEFAULT_CUTOFF_THERMAL, dense_renyi_converged,
-                   dense_sandwiched_renyi, gamma_contraction, state_to_fock)
+                   gamma_contraction, state_to_fock)
 from .kernel import apply_contraction, log_kernel_trace, state_to_kernel
 from .recipes import Recipe, recipe_to_state
 from .states import coherent_state, thermal_state
 
-GROUPS = ("thermal", "coherent", "squeezed", "twomode", "trace")
+#: each group's row tolerance and default dense-oracle cutoff, in report
+#: order (coherent rows have no dense oracle)
+GROUPS = {
+    "thermal": (1e-10, DEFAULT_CUTOFF_THERMAL),
+    "coherent": (1e-9, None),
+    "squeezed": (1e-6, DEFAULT_CUTOFF_1MODE),
+    "twomode": (1e-4, DEFAULT_CUTOFF_2MODE),
+    "trace": (1e-8, DEFAULT_CUTOFF_1MODE),
+}
+#: tolerance of the thermal rows judged by the dense oracle
+THERMAL_DENSE_TOL = 1e-7
 
 #: dense rows are adjudicable only while the truncation residual stays below
 #: this fraction of the row tolerance
@@ -52,6 +64,18 @@ class VerifyRow:
     tol: float
     status: str  # "pass" | "fail" | "skip"
     note: str = ""
+
+
+class _Case(NamedTuple):
+    """A row before evaluation.  oracle(cutoff) returns the oracle value and
+    its truncation residual; tol None takes the group's tolerance."""
+
+    group: str
+    name: str
+    alpha: float
+    closed: Callable[[], float]
+    oracle: Callable[[int], tuple[float, float]]
+    tol: float | None = None
 
 
 def thermal_series_divergence(t: float, s: float, alpha: float) -> float:
@@ -85,86 +109,78 @@ def coherent_thermal_divergence(gamma: complex, s: float, alpha: float) -> float
     return -math.log1p(-math.exp(-s)) + alpha * abs(gamma) ** 2 * shrink / (1.0 - alpha)
 
 
-def _judge(name: str, group: str, alpha: float, closed: float, oracle: float,
-           tol: float, residual: float = 0.0) -> VerifyRow:
-    diff = abs(closed - oracle)
-    if residual > GUARD_FRACTION * tol:
-        return VerifyRow(name, group, alpha, closed, oracle, diff, tol, "skip",
-                         f"cutoff not converged (residual {residual:.1e})")
-    return VerifyRow(name, group, alpha, closed, oracle, diff, tol,
-                     "pass" if diff <= tol else "fail")
+def _divergence(rho, sigma, alpha: float) -> float:
+    return sandwiched_renyi(rho, sigma, alpha).divergence
 
 
-def _closed(rho_recipe: Recipe, sigma_recipe: Recipe, alpha: float) -> float:
-    return sandwiched_renyi(recipe_to_state(rho_recipe),
-                            recipe_to_state(sigma_recipe), alpha).divergence
+def _exact(oracle: Callable[..., float], *args) -> Callable[[int], tuple[float, float]]:
+    """An oracle without truncation: it ignores the cutoff, residual 0."""
+    return lambda cutoff: (oracle(*args), 0.0)
 
 
-def _dense_thermal(t: float, s: float, alpha: float,
+def _pair(group: str, name: str, rho: Recipe, sigma: Recipe, alpha: float,
+          oracle, tol: float | None = None) -> _Case:
+    closed = partial(_divergence, recipe_to_state(rho), recipe_to_state(sigma), alpha)
+    return _Case(group, name, alpha, closed, oracle, tol)
+
+
+def _dense_twomode(rho: Recipe, sigma: Recipe, alpha: float,
                    cutoff: int) -> tuple[float, float]:
-    # Thermal matrices are diagonal, so their eigenvalues carry no eigh
-    # noise; a deep floor keeps the support cut far below the row tolerance
-    # even when the sandwich spectrum decays slowly (large alpha).
+    # full doubling is slow in two modes; +8 per mode resolves the guard
+    return dense_renyi_converged(rho, sigma, alpha, cutoff, cutoff + 8)
+
+
+def _contracted_trace(state, k: np.ndarray) -> float:
+    return math.exp(log_kernel_trace(apply_contraction(state_to_kernel(state), k)))
+
+
+def _dense_contraction_trace(recipe: Recipe, k: np.ndarray,
+                             cutoff: int) -> tuple[float, float]:
     def at(c: int) -> float:
-        return dense_sandwiched_renyi(state_to_fock(Recipe((t,)), c),
-                                      state_to_fock(Recipe((s,)), c),
-                                      alpha, eig_floor=1e-60)
+        rho = state_to_fock(recipe, c)
+        g = gamma_contraction(k, recipe.n, c)
+        return float(np.trace(g @ rho @ g).real)
 
     lo, hi = at(cutoff), at(2 * cutoff)
     return hi, abs(hi - lo)
 
 
-def _thermal_rows(cutoff, tol_override) -> list[VerifyRow]:
-    series_tol = 1e-10 if tol_override is None else tol_override
-    dense_tol = 1e-7 if tol_override is None else tol_override
-    cut = DEFAULT_CUTOFF_THERMAL if cutoff is None else cutoff
-    pairs = [(LN2, 2 * LN2), (0.35, 1.1), (2.3, 0.8)]
-    rows = []
-    for t, s in pairs:
-        for alpha in (0.1, 0.5, 0.9):
-            rows.append(_judge(f"thermal series t={t:.3g} s={s:.3g}", "thermal",
-                               alpha, _closed(Recipe((t,)), Recipe((s,)), alpha),
-                               thermal_series_divergence(t, s, alpha), series_tol))
-    for t, s in pairs[:2]:
-        for alpha in (0.3, 0.7):
-            oracle, residual = _dense_thermal(t, s, alpha, cut)
-            rows.append(_judge(f"thermal dense t={t:.3g} s={s:.3g}", "thermal",
-                               alpha, _closed(Recipe((t,)), Recipe((s,)), alpha),
-                               oracle, dense_tol, residual))
+def _cases() -> list[_Case]:
+    """Every row of the suite in report order; nothing is evaluated yet."""
+    thermal = [(LN2, 2 * LN2), (0.35, 1.1), (2.3, 0.8)]
+    cases = [_pair("thermal", f"thermal series t={t:.3g} s={s:.3g}",
+                   Recipe((t,)), Recipe((s,)), alpha,
+                   _exact(thermal_series_divergence, t, s, alpha))
+             for t, s in thermal for alpha in (0.1, 0.5, 0.9)]
+    # Thermal matrices are diagonal, so their eigenvalues carry no eigh
+    # noise; a deep floor keeps the support cut far below the row tolerance
+    # even when the sandwich spectrum decays slowly (large alpha).
+    cases += [_pair("thermal", f"thermal dense t={t:.3g} s={s:.3g}",
+                    Recipe((t,)), Recipe((s,)), alpha,
+                    partial(dense_renyi_converged, Recipe((t,)), Recipe((s,)),
+                            alpha, eig_floor=1e-60),
+                    THERMAL_DENSE_TOL)
+              for t, s in thermal[:2] for alpha in (0.3, 0.7)]
     # small alpha against a hot reference drives the contracted thermal
     # parameters far into the tail; guards the deep-contraction spectrum path
-    for t, s, alpha in ((0.3, 3.0, 0.1), (0.5, 2.8, 0.15)):
-        rows.append(_judge(f"thermal deep t={t:.3g} s={s:.3g}", "thermal",
-                           alpha, _closed(Recipe((t,)), Recipe((s,)), alpha),
-                           thermal_series_divergence(t, s, alpha), series_tol))
+    cases += [_pair("thermal", f"thermal deep t={t:.3g} s={s:.3g}",
+                    Recipe((t,)), Recipe((s,)), alpha,
+                    _exact(thermal_series_divergence, t, s, alpha))
+              for t, s, alpha in ((0.3, 3.0, 0.1), (0.5, 2.8, 0.15))]
     # products of thermal modes: the divergence is additive over modes
-    closed = _closed(Recipe((0.6, 1.3)), Recipe((0.9, 0.5)), 0.45)
-    oracle = (thermal_series_divergence(0.6, 0.9, 0.45)
-              + thermal_series_divergence(1.3, 0.5, 0.45))
-    rows.append(_judge("thermal product 2-mode", "thermal", 0.45, closed,
-                       oracle, series_tol))
-    return rows
+    cases.append(_pair(
+        "thermal", "thermal product 2-mode",
+        Recipe((0.6, 1.3)), Recipe((0.9, 0.5)), 0.45,
+        _exact(lambda: thermal_series_divergence(0.6, 0.9, 0.45)
+               + thermal_series_divergence(1.3, 0.5, 0.45))))
 
+    cases += [_Case("coherent", f"coherent g={gamma:g} s={s:.3g}", alpha,
+                    partial(_divergence, coherent_state(gamma), thermal_state(s), alpha),
+                    _exact(coherent_thermal_divergence, gamma, s, alpha))
+              for gamma in (0.5, 1.0, 2.0, 0.3 + 0.4j)
+              for s in (LN2, 1.5) for alpha in (0.3, 0.5, 0.7)]
 
-def _coherent_rows(tol_override) -> list[VerifyRow]:
-    tol = 1e-9 if tol_override is None else tol_override
-    rows = []
-    for gamma in (0.5, 1.0, 2.0, 0.3 + 0.4j):
-        for s in (LN2, 1.5):
-            for alpha in (0.3, 0.5, 0.7):
-                closed = sandwiched_renyi(coherent_state(gamma),
-                                          thermal_state(s), alpha).divergence
-                rows.append(_judge(f"coherent g={gamma:g} s={s:.3g}", "coherent",
-                                   alpha, closed,
-                                   coherent_thermal_divergence(gamma, s, alpha),
-                                   tol))
-    return rows
-
-
-def _squeezed_rows(cutoff, tol_override) -> list[VerifyRow]:
-    tol = 1e-6 if tol_override is None else tol_override
-    cut = DEFAULT_CUTOFF_1MODE if cutoff is None else cutoff
-    cases = [
+    squeezed = [
         ("squeezed displaced vs thermal",
          Recipe((0.9,), (("squeeze", 0, 0.3), ("displace", 0, 0.5 + 0.2j))),
          Recipe((0.7,)), 0.5),
@@ -179,22 +195,11 @@ def _squeezed_rows(cutoff, tol_override) -> list[VerifyRow]:
                          ("displace", 0, 0.4 - 0.2j))),
          Recipe((0.9,), (("phase", 0, -0.5), ("squeeze", 0, 0.2))), 0.55),
     ]
-    rows = []
-    for name, rho_recipe, sigma_recipe, alpha in cases:
-        oracle, residual = dense_renyi_converged(rho_recipe, sigma_recipe,
-                                                 alpha, cut)
-        rows.append(_judge(name, "squeezed", alpha,
-                           _closed(rho_recipe, sigma_recipe, alpha),
-                           oracle, tol, residual))
-    return rows
+    cases += [_pair("squeezed", name, rho, sigma, alpha,
+                    partial(dense_renyi_converged, rho, sigma, alpha))
+              for name, rho, sigma, alpha in squeezed]
 
-
-def _twomode_rows(cutoff, tol_override) -> list[VerifyRow]:
-    tol = 1e-4 if tol_override is None else tol_override
-    cut = DEFAULT_CUTOFF_2MODE if cutoff is None else cutoff
-    # full doubling is slow in two modes; +8 per mode resolves the guard
-    guard = cut + 8
-    cases = [
+    twomode = [
         ("beamsplit correlated vs thermal",
          Recipe((0.8, 1.1), (("squeeze", 0, 0.25), ("beamsplit", 0.6),
                              ("displace", 1, 0.3))),
@@ -203,31 +208,11 @@ def _twomode_rows(cutoff, tol_override) -> list[VerifyRow]:
          Recipe((0.7, 0.9), (("beamsplit", 0.5), ("phase", 0, 0.6))),
          Recipe((1.0, 1.2), (("squeeze", 1, -0.2), ("beamsplit", 0.3))), 0.7),
     ]
-    rows = []
-    for name, rho_recipe, sigma_recipe, alpha in cases:
-        oracle, residual = dense_renyi_converged(rho_recipe, sigma_recipe,
-                                                 alpha, cut, guard)
-        rows.append(_judge(name, "twomode", alpha,
-                           _closed(rho_recipe, sigma_recipe, alpha),
-                           oracle, tol, residual))
-    return rows
+    cases += [_pair("twomode", name, rho, sigma, alpha,
+                    partial(_dense_twomode, rho, sigma, alpha))
+              for name, rho, sigma, alpha in twomode]
 
-
-def _dense_contraction_trace(recipe: Recipe, k: np.ndarray,
-                             cutoff: int) -> tuple[float, float]:
-    def at(c: int) -> float:
-        rho = state_to_fock(recipe, c)
-        g = gamma_contraction(k, recipe.n, c)
-        return float(np.trace(g @ rho @ g).real)
-
-    lo, hi = at(cutoff), at(2 * cutoff)
-    return hi, abs(hi - lo)
-
-
-def _trace_rows(cutoff, tol_override) -> list[VerifyRow]:
-    tol = 1e-8 if tol_override is None else tol_override
-    cut = DEFAULT_CUTOFF_1MODE if cutoff is None else cutoff
-    cases = [
+    trace = [
         ("trace displaced thermal",
          Recipe((0.8,), (("displace", 0, 0.6 + 0.3j),)), (0.9,), 0.4),
         ("trace squeezed displaced",
@@ -236,29 +221,26 @@ def _trace_rows(cutoff, tol_override) -> list[VerifyRow]:
          Recipe((0.9,), (("squeeze", 0, 0.25), ("phase", 0, 0.8),
                          ("displace", 0, 0.5))), (1.3,), 0.6),
     ]
-    rows = []
-    for name, recipe, s_vec, alpha in cases:
+    for name, recipe, s_vec, alpha in trace:
         k = fractional_power_contraction(np.asarray(s_vec), alpha)
-        z = apply_contraction(state_to_kernel(recipe_to_state(recipe)), k)
-        closed = math.exp(log_kernel_trace(z))
-        oracle, residual = _dense_contraction_trace(recipe, k, cut)
-        rows.append(_judge(name, "trace", alpha, closed, oracle, tol, residual))
-    return rows
+        cases.append(_Case("trace", name, alpha,
+                           partial(_contracted_trace, recipe_to_state(recipe), k),
+                           partial(_dense_contraction_trace, recipe, k)))
+    return cases
 
 
-def run_suite(groups=None, cutoff: int | None = None,
-              tol_override: float | None = None) -> list[VerifyRow]:
+def run_suite(groups=None, cutoff: int | None = None) -> list[VerifyRow]:
     """Run the cross-validation suite and return its rows.
 
     groups selects a subset of GROUPS (None runs everything); cutoff
-    overrides every dense-oracle cutoff; tol_override replaces every row
-    tolerance.  Unknown or empty selections raise GaussRenyiError.
+    overrides every dense-oracle cutoff.  Unknown or empty selections raise
+    GaussRenyiError.
     """
     if groups is None:
-        selected = list(GROUPS)
+        selected = set(GROUPS)
     else:
-        selected = list(groups)
-        unknown = sorted(set(selected) - set(GROUPS))
+        selected = set(groups)
+        unknown = sorted(selected - set(GROUPS))
         if unknown:
             raise GaussRenyiError(
                 f"unknown verify group(s) {unknown}; choose from {', '.join(GROUPS)}")
@@ -267,17 +249,22 @@ def run_suite(groups=None, cutoff: int | None = None,
                 f"empty verify selection; choose from {', '.join(GROUPS)}")
     if cutoff is not None and cutoff < 2:
         raise GaussRenyiError(f"verify cutoff must be at least 2, got {cutoff}")
-    rows: list[VerifyRow] = []
-    if "thermal" in selected:
-        rows += _thermal_rows(cutoff, tol_override)
-    if "coherent" in selected:
-        rows += _coherent_rows(tol_override)
-    if "squeezed" in selected:
-        rows += _squeezed_rows(cutoff, tol_override)
-    if "twomode" in selected:
-        rows += _twomode_rows(cutoff, tol_override)
-    if "trace" in selected:
-        rows += _trace_rows(cutoff, tol_override)
+    rows = []
+    for case in _cases():
+        if case.group not in selected:
+            continue
+        tol, default_cutoff = GROUPS[case.group]
+        if case.tol is not None:
+            tol = case.tol
+        closed = case.closed()
+        oracle, residual = case.oracle(default_cutoff if cutoff is None else cutoff)
+        diff = abs(closed - oracle)
+        if residual > GUARD_FRACTION * tol:
+            status, note = "skip", f"cutoff not converged (residual {residual:.1e})"
+        else:
+            status, note = "pass" if diff <= tol else "fail", ""
+        rows.append(VerifyRow(case.name, case.group, case.alpha, closed, oracle,
+                              diff, tol, status, note))
     return rows
 
 

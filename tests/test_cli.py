@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from gauss_renyi.cli import main
+from gauss_renyi import verify
+from gauss_renyi.cli import _fmt, main
 
 LN2 = math.log(2.0)
 
@@ -36,26 +37,13 @@ def run(capsys, argv):
 
 def test_entropy_json_round_trip_invariant(states, capsys):
     code, out, _ = run(capsys, ["entropy", "--alpha", "0.5",
-                                "--rho", states["rho"],
-                                "--sigma", states["sigma"],
+                                states["rho"], states["sigma"],
                                 "--format", "json"])
     assert code == 0
     report = json.loads(out)
     recomputed = float(f"{math.log(report['T_alpha']) / (report['alpha'] - 1.0):.12g}")
     assert recomputed == report["divergence"]
     assert abs(report["divergence"] - 0.108299916535) < 1e-9
-
-
-def test_entropy_positional_equals_flags(states, capsys):
-    code1, out1, _ = run(capsys, ["entropy", "--alpha", "0.5",
-                                  states["rho"], states["sigma"],
-                                  "--format", "json"])
-    code2, out2, _ = run(capsys, ["entropy", "--alpha", "0.5",
-                                  "--rho", states["rho"],
-                                  "--sigma", states["sigma"],
-                                  "--format", "json"])
-    assert code1 == code2 == 0
-    assert out1 == out2
 
 
 def test_entropy_table_format(states, capsys):
@@ -75,9 +63,23 @@ def test_entropy_identity_near_zero(states, capsys):
 
 def test_state_given_twice_is_usage_error(states, capsys):
     with pytest.raises(SystemExit) as err:
-        main(["entropy", "--alpha", "0.5", "--rho", states["rho"],
+        main(["entropy", "--alpha", "0.5", states["rho"],
               states["rho"], states["sigma"]])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--alpha", "0.5"],
+    ["sweep", "--alphas", "0.3,0.7"],
+    ["williamson"],
+    ["convert"],
+])
+def test_missing_state_file_is_usage_error(states, capsys, argv):
+    files = [states["rho"]] if argv[0] in ("entropy", "sweep") else []
+    with pytest.raises(SystemExit) as err:
+        main(argv + files)
+    assert err.value.code == 2
+    assert "required" in capsys.readouterr().err
 
 
 def test_pure_sigma_exit_2_mentions_faithful(states, capsys):
@@ -133,6 +135,21 @@ def test_sweep_json_monotone_and_consistent(states, capsys):
         assert recomputed == r["divergence"]
 
 
+def test_sweep_table_prints_json_values_at_12_digits(states, capsys):
+    argv = ["sweep", "--alphas", "0.123456789,0.5", states["rho"], states["sigma"]]
+    code, table, _ = run(capsys, argv)
+    assert code == 0
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    header, *lines = table.splitlines()
+    columns = header.split()
+    assert columns == ["alpha", "divergence", "T_alpha", "trace_Z"]
+    results = json.loads(out)["results"]
+    assert [line.split() for line in lines] == [
+        [_fmt(r[c]) for c in columns] for r in results]
+    assert lines[0].split()[0] == "0.123456789"
+
+
 def test_williamson_vacuum(states, capsys):
     code, out, _ = run(capsys, ["williamson", states["vacuum"],
                                 "--format", "json"])
@@ -143,7 +160,7 @@ def test_williamson_vacuum(states, capsys):
 
 
 def test_williamson_thermal_ln2(states, capsys):
-    code, out, _ = run(capsys, ["williamson", "--rho", states["rho"],
+    code, out, _ = run(capsys, ["williamson", states["rho"],
                                 "--format", "json"])
     assert code == 0
     payload = json.loads(out)
@@ -202,17 +219,32 @@ def test_verify_unknown_and_empty_suite(states, capsys):
     assert code == 2
 
 
-def test_verify_env_tolerance_override(states, capsys, monkeypatch):
-    monkeypatch.setenv("GAUSS_RENYI_TOL", "1e-16")
+def test_verify_failing_row_exit_1(capsys, monkeypatch):
+    real = verify.coherent_thermal_divergence
+
+    def off_on_one_row(gamma, s, alpha):
+        shift = 1e-6 if (gamma, s, alpha) == (2.0, 1.5, 0.5) else 0.0
+        return real(gamma, s, alpha) + shift
+
+    monkeypatch.setattr(verify, "coherent_thermal_divergence", off_on_one_row)
     code, out, _ = run(capsys, ["verify", "--suite", "coherent",
                                 "--format", "json"])
     assert code == 1
-    assert json.loads(out)["passed"] is False
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    failed = [row for row in payload["rows"] if row["status"] == "fail"]
+    assert [(row["name"], row["alpha"]) for row in failed] == [("coherent g=2 s=1.5", 0.5)]
 
-    monkeypatch.setenv("GAUSS_RENYI_TOL", "not-a-number")
-    code, _, err = run(capsys, ["verify", "--suite", "coherent"])
-    assert code == 2
-    assert "GAUSS_RENYI_TOL" in err
+
+def test_verify_ignores_tolerance_environment(capsys, monkeypatch):
+    # the suite's tolerances are fixed; no environment variable reaches them
+    monkeypatch.setenv("GAUSS_RENYI_TOL", "-1")
+    code, out, _ = run(capsys, ["verify", "--suite", "coherent",
+                                "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 24
+    assert all(row["status"] == "pass" and row["tol"] == 1e-9 for row in rows)
 
 
 def test_verify_table_lists_rows(states, capsys):

@@ -149,6 +149,14 @@ def test_quadruple_validation():
                        lam=-0.5 * np.eye(1))
 
 
+@pytest.mark.parametrize("field", ["mu", "A", "lam"])
+def test_quadruple_rejects_nan(field):
+    fields = {"mu": np.zeros(1), "A": np.zeros((1, 1)), "lam": 0.2 * np.eye(1)}
+    fields[field] = np.full_like(fields[field], np.nan)
+    with pytest.raises(ValueError, match=f"kernel {field} has non-finite entries"):
+        CoherentKernel(c=1.0, **fields)
+
+
 def test_trace_invariant_under_phase_rotation(rng):
     # one-mode phase plates commute with diagonal contractions, so the
     # contracted trace must not depend on the phase convention
