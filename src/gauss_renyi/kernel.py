@@ -39,9 +39,11 @@ FORM_MIN_EIG = 1e-12
 #: corner of the bordered form matrix [[M, b], [b^T, _BORDER]], whose last
 #: squared pivot is _BORDER - b . M^{-1} b.  A state's kernel, contracted or
 #: not, has Tr Z <= 1 and M <= 2I, so b . M^{-1} b <= ln det M / 2 - ln c
-#: <= n ln 2 + 745 while c is representable; the border fails only past
+#: <= n ln 2 + 708.4 while c is a normal double; the border fails only past
 #: b . M^{-1} b = 1e300
 _BORDER = 1e300
+#: smallest kernel scale c accepted: below it c is subnormal and loses bits
+_TINY = float(np.finfo(float).tiny)
 #: lower_triangular_inverse hands diagonal blocks of at most this size to
 #: numpy.linalg.inv
 _TRI_LEAF = 16
@@ -203,7 +205,9 @@ def state_to_kernel(state: GaussianState) -> CoherentKernel:
 
     The mean enters exactly as a displacement acting on the zero-mean
     kernel, which fixes every conjugation above.  Raises NotTraceClassError
-    when c underflows, which a displacement |m| above about 27 can cause.
+    when c underflows below the smallest normal double (ln c < -708.4),
+    where it would carry too few bits; for a coherent rho' that is a
+    displacement |m| above about 26.6.
 
     One Cholesky factor I/2 + S = L L^T gives both: ln det = 2 sum ln L_jj,
     and G = L^{-T} L^{-1} with L^{-1} from lower_triangular_inverse.
@@ -235,10 +239,11 @@ def state_to_kernel(state: GaussianState) -> CoherentKernel:
     quad = float((-m.conj() @ m + 2.0 * (m @ A @ m) + m @ lam @ m.conj()).real)
     log_c = -0.5 * logdet + quad
     c = float(np.exp(log_c))
-    if c == 0.0:
+    if c < _TINY:
         raise NotTraceClassError(
-            f"kernel scale c = exp({log_c:.6g}) underflows to 0 in double precision, "
-            "whose limit is ln c > -745; the displacement is too large")
+            f"kernel scale c = exp({log_c:.6g}) underflows below the smallest normal "
+            f"double {_TINY:.3g}, whose limit is ln c > {np.log(_TINY):.1f}; "
+            "the displacement is too large")
     return _set_fields(object.__new__(CoherentKernel), c, mu, A, lam)
 
 

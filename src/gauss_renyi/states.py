@@ -24,6 +24,17 @@ PHYSICAL_TOL = 1e-10
 SYMPLECTIC_TOL = 1e-10
 #: symplectic eigenvalues within this of 1/2 are treated as pure
 PURE_TOL = 1e-9
+#: rounding floor of a computed symplectic spectrum, relative to max_ij |S_ij|:
+#: a state is pure when every d_j - 1/2 <= PURE_NOISE * max_ij |S_ij|.
+#: PURE_TOL is far too coarse for this: a mode with d - 1/2 = 5e-10 has
+#: t = 21.4 and is mixed.  Pure states in random frames (squeeze <= 0.5,
+#: random displacement) read d - 1/2 of at most 3.1, 5.1, 8.4, 11.2 and
+#: 23.6 eps * max|S| at n = 1, 4, 16, 64 and 128.  An unsqueezed thermal
+#: mode counts as pure from t ~ 33 on (thermal_state(32) has
+#: d - 1/2 = 1.3e-14 and is mixed, thermal_state(33) 4.7e-15), which moves
+#: D_alpha by -ln(1 - e^(-alpha t_Z)) / (1 - alpha), about
+#: e^(-alpha t_Z) / (1 - alpha).
+PURE_NOISE = 64 * np.finfo(float).eps
 #: cap on the squeezing parameter accepted by the builders
 MAX_SQUEEZE = 5.0
 

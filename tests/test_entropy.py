@@ -1,5 +1,6 @@
 """Closed-form divergence pipeline: frozen values, invariances, error paths."""
 
+import functools
 import math
 import re
 
@@ -15,9 +16,9 @@ from gauss_renyi.exceptions import (AlphaRangeError, NotFaithfulError,
                                     NotTraceClassError, UnphysicalStateError)
 from gauss_renyi.kernel import LAM_PSD_TOL, apply_contraction, state_to_kernel
 from gauss_renyi.sampling import random_faithful_state, random_symplectic
-from gauss_renyi.states import (GaussianState, coherent_state,
-                                gaussian_transform, tensor, thermal_state)
-from gauss_renyi.verify import thermal_series_divergence
+from gauss_renyi.states import (GaussianState, coherent_state, gaussian_transform,
+                                squeezed_vacuum, tensor, thermal_state)
+from gauss_renyi.verify import coherent_thermal_divergence, thermal_series_divergence
 
 LN2 = math.log(2.0)
 
@@ -226,7 +227,7 @@ def test_lambda_gate_uses_the_spectral_norm(monkeypatch):
 def test_reduce_to_thermal_orders_parameters(rng):
     sigma = random_faithful_state(rng, 3)
     rho = random_faithful_state(rng, 3)
-    _, s = reduce_to_thermal(rho, sigma)
+    _, s, _ = reduce_to_thermal(rho, sigma)
     assert np.all(np.diff(s) >= -1e-12)
 
 
@@ -326,12 +327,16 @@ def test_unphysical_rho_rejected(mean, cov):
 
 
 def test_large_displacement_is_a_domain_error():
-    # |gamma| = 20 is still exact; at 30 the kernel scale c underflows
-    exact = analytic_coherent_thermal(20.0, 1.0, 0.5)
-    assert np.isclose(sandwiched_renyi(coherent_state(20.0), thermal_state(1.0), 0.5).divergence,
-                      exact, rtol=1e-12)
-    with pytest.raises(NotTraceClassError, match="underflows"):
-        sandwiched_renyi(coherent_state(30.0), thermal_state(1.0), 0.5)
+    # ln c = -|gamma|^2 must stay above ln(smallest normal double) = -708.4:
+    # |gamma| = 26.6 is still exact, and a subnormal c gave errors of -1.1e-8,
+    # +5.0e-3 and +0.24 at 27.0, 27.2 and 27.28 before c reached 0 near 27.3
+    for gamma in (20.0, 26.0, 26.6):
+        value = sandwiched_renyi(coherent_state(gamma), thermal_state(1.0), 0.5).divergence
+        exact = analytic_coherent_thermal(gamma, 1.0, 0.5)
+        assert abs(value - exact) <= 1e-12 * exact, gamma
+    for gamma in (27.0, 27.2, 27.28, 30.0):
+        with pytest.raises(NotTraceClassError, match=r"underflows.*ln c > -708\.4"):
+            sandwiched_renyi(coherent_state(gamma), thermal_state(1.0), 0.5)
 
 
 def _squeeze(n: int, r: float) -> np.ndarray:
@@ -390,3 +395,85 @@ def test_near_pure_rho_matches_series(gap, r):
     L = _squeeze(1, r)
     value = sandwiched_renyi(gaussian_transform(rho, L), gaussian_transform(sigma, L), 0.5)
     assert abs(value.divergence - thermal_series_divergence(math.log1p(1.0 / gap), 1.2, 0.5)) < 1e-10
+
+
+#: orders down to the range where the contraction underflows
+PURE_ALPHAS = [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.5, 0.9]
+
+
+def pure_product_divergence(modes, s, alpha: float) -> float:
+    """Rank-one closed form for a product of coherent (complex gamma) and
+    squeezed-vacuum (real r) modes against thermal(s):
+    D = alpha/(alpha-1) ln <psi| sigma^p |psi>, p = (1-alpha)/alpha, with
+    sigma^p = (1-e^-s)^p e^(-p s N) per mode, <gamma|e^(-xN)|gamma> =
+    exp(-|gamma|^2 (1-e^-x)) and <r|e^(-xN)|r> = 1/(cosh r sqrt(1-tanh^2 r e^-2x))
+    from the squeezed vacuum's photon-number generating function."""
+    p = (1.0 - alpha) / alpha
+    ln_overlap = 0.0
+    for mode, sj in zip(modes, s):
+        ln_overlap += p * math.log(-math.expm1(-sj))
+        if isinstance(mode, complex):
+            ln_overlap += abs(mode) ** 2 * math.expm1(-p * sj)
+        else:
+            ln_overlap -= (math.log(math.cosh(mode))
+                           + 0.5 * math.log1p(-math.tanh(mode) ** 2 * math.exp(-2.0 * p * sj)))
+    return alpha / (alpha - 1.0) * ln_overlap
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+@pytest.mark.parametrize("first", ["coherent", "squeezed"])
+def test_pure_rho_in_random_frames_matches_rank_one_form(n, first):
+    rng = np.random.default_rng(n)
+    modes = [complex(*rng.normal(scale=0.7, size=2)) if (j % 2 == 0) == (first == "coherent")
+             else float(rng.uniform(-0.5, 0.5)) for j in range(n)]
+    states = [coherent_state(m) if isinstance(m, complex) else squeezed_vacuum(m) for m in modes]
+    rho = functools.reduce(tensor, states)
+    s = rng.uniform(0.3, 2.5, size=n)
+    L, shift = random_symplectic(rng, n), rng.normal(size=2 * n)
+    frame = lambda state: gaussian_transform(state, L, shift=shift)
+    reports = sandwiched_renyi_sweep(frame(rho), frame(thermal_state(s)), PURE_ALPHAS)
+    for alpha, report in zip(PURE_ALPHAS, reports):
+        assert np.isinf(report.t_Z).all()
+        exact = pure_product_divergence(modes, s, alpha)
+        assert abs(report.divergence - exact) <= 1e-12 * abs(exact), alpha
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.02, 0.01])
+def test_coherent_product_f1_case_is_exact(alpha):
+    # a pure rho whose t_Z used to come from rounding noise in Lambda (F1)
+    s = [1.7, 0.4, 1.1, 2.0, 0.6, 1.4, 0.9, 0.3]
+    report = sandwiched_renyi(coherent_state([0.5] * 8), thermal_state(s), alpha)
+    exact = sum(coherent_thermal_divergence(0.5, sj, alpha) for sj in s)
+    assert abs(report.divergence - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("rho", [
+    thermal_state(32.0),  # d - 1/2 = 1.3e-14: above the purity noise floor
+    thermal_state(math.log1p(1.0 / 5e-10)),  # within PURE_TOL, but mixed (t = 21.4)
+], ids=["t=32", "gap=5e-10"])
+def test_nearly_pure_rho_keeps_finite_t_z(rho):
+    report = sandwiched_renyi(rho, thermal_state(1.2), 0.1)
+    t = math.log1p(1.0 / (rho.cov[0, 0] - 0.5))  # of the stored covariance
+    # t_Z = t + s (1-alpha)/alpha, where e^(-t) carries the stored d - 1/2's
+    # relative rounding of about eps/(d - 1/2), 1 % at t = 32, and the same
+    # again from rho's kernel (I/2 + S rounds it too)
+    assert np.isfinite(report.t_Z).all()
+    assert abs(report.t_Z[0] - (t + 1.2 * (1.0 - 0.1) / 0.1)) < 0.05
+    # so the value is the mixed one, to within that rounding (2e-3 of the gap
+    # at t = 32), not the pure one that drops p(alpha t_Z)
+    mixed = thermal_series_divergence(t, 1.2, 0.1)
+    pure = thermal_series_divergence(math.inf, 1.2, 0.1)
+    assert abs(report.divergence - mixed) < 1e-2 * abs(pure - mixed)
+
+
+def test_thermal_rho_past_the_noise_floor_counts_as_pure():
+    # thermal_state(33) has d - 1/2 = 4.7e-15 <= PURE_NOISE * max|S|, so it is
+    # taken as the vacuum, which drops p(alpha t_Z), t_Z = 33 + 1.2 (1-alpha)/alpha
+    alpha = 0.1
+    report = sandwiched_renyi(thermal_state(33.0), thermal_state(1.2), alpha)
+    assert np.isinf(report.t_Z).all()
+    assert math.isclose(report.divergence, coherent_thermal_divergence(0.0, 1.2, alpha),
+                        rel_tol=1e-12)
+    dropped = -math.log1p(-math.exp(-alpha * (33.0 + 1.2 * (1.0 - alpha) / alpha)))
+    assert math.isclose(report.divergence - thermal_series_divergence(33.0, 1.2, alpha),
+                        dropped / (1.0 - alpha), rel_tol=1e-6)

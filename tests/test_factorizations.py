@@ -10,6 +10,8 @@ order: one Cholesky of the contracted kernel's form matrix, which serves
 the trace and, on the fallback branch, the covariance, and the t_Z spectrum
 (one eigensolve, or on the fallback branch the covariance's Cholesky and
 one eigensolve).  The contracted kernel's Lambda is not checked again.
+A pure rho skips the t_Z spectrum (every t_Z is inf): 6 per call, and per
+order the trace's Cholesky alone.
 
 The per-order stage runs on stacks of orders, so a stacked (..., m, m)
 argument counts once per matrix, as perfbench's LinalgCounter counts it.
@@ -30,7 +32,8 @@ import scipy.linalg
 
 import gauss_renyi.entropy as entropy
 from gauss_renyi.kernel import state_to_kernel
-from gauss_renyi.states import GaussianState, squeezed_vacuum, tensor, thermal_state
+from gauss_renyi.states import (GaussianState, coherent_state, squeezed_vacuum, tensor,
+                                thermal_state)
 
 NUMPY_NAMES = ("eigh", "eigvalsh", "eig", "eigvals", "cholesky", "svd", "qr")
 #: numpy.linalg's implementation module: helpers call these bindings
@@ -51,6 +54,9 @@ SIGMA = thermal_state([0.8, 1.5])
 PAIR_FREE_RHO = GaussianState(np.array([0.3, -0.2, 0.1, 0.4]), thermal_state([0.6, 1.1]).cov)
 #: a squeezed mode gives a pair block A, so t_Z takes the covariance fallback
 FALLBACK_RHO = tensor(squeezed_vacuum(0.4), thermal_state(1.0))
+#: pure, with a pair block A and a displacement: no t_Z spectrum at all
+PURE_RHO = GaussianState(np.array([0.3, -0.2, 0.1, 0.4]),
+                         tensor(squeezed_vacuum(0.4), coherent_state(0.0)).cov)
 #: ten modes, so the 20 x 20 factors are inverted by blocks
 SIGMA_10 = thermal_state(np.linspace(0.8, 1.5, 10))
 PAIR_FREE_RHO_10 = GaussianState(np.linspace(-0.4, 0.5, 20),
@@ -108,6 +114,7 @@ def factorizations(counts, call) -> tuple[int, int]:
 @pytest.mark.parametrize("rho,per_call,per_order,branch", [
     (PAIR_FREE_RHO, 8, 2, 0),
     (FALLBACK_RHO, 9, 3, 1),
+    (PURE_RHO, 6, 1, 0),
 ])
 def test_factorization_count(counts, rho, per_call, per_order, branch):
     single, fallbacks = factorizations(
@@ -124,10 +131,10 @@ def test_factorization_count(counts, rho, per_call, per_order, branch):
     assert (three - one) / 2 <= per_order
 
 
-@pytest.mark.parametrize("rho,per_call", [(PAIR_FREE_RHO, 7), (FALLBACK_RHO, 8)])
+@pytest.mark.parametrize("rho,per_call", [(PAIR_FREE_RHO, 7), (FALLBACK_RHO, 8), (PURE_RHO, 6)])
 def test_rho_kernel_factorizations(counts, rho, per_call):
     """rho's kernel costs its Cholesky alone: no eigensolve of its Lambda."""
-    rho_prime, _ = entropy.reduce_to_thermal(rho, SIGMA)
+    rho_prime, _, _ = entropy.reduce_to_thermal(rho, SIGMA)
     kernel, _ = factorizations(counts, lambda: state_to_kernel(rho_prime))
     assert kernel == 1
     single, _ = factorizations(counts, lambda: entropy.sandwiched_renyi(rho, SIGMA, 0.5))
