@@ -12,11 +12,9 @@ and assemble
 where p(t) = prod_j (1 - e^(-t_j)) and p(inf) = 1.  All products of p and
 the trace are accumulated in the log domain.
 
-A pure rho needs no t_Z: sigma is faithful, so the sandwich has as many
-pure modes as rho, and for a pure rho it has rank one, every t_Z is inf
-and p(t_Z) = p(alpha t_Z) = 1.  Purity is read off the symplectic spectrum
-that rho's physicality check computes (PURE_NOISE), so it costs no
-factorization.
+A rho that counts as pure (states.PURE_NOISE, read off the spectrum of its
+physicality check) gives a rank-one sandwich, so every t_Z is inf and the
+t_Z stage is skipped.
 
 The reduction runs once per call.  The per-order stage (contraction, trace,
 t_Z and assembly) runs once per stack of orders: every formula takes a
@@ -35,8 +33,8 @@ from .exceptions import AlphaRangeError, ModeMismatchError, NotFaithfulError
 # wraps every stage name of the pipeline in this module
 from .kernel import (CoherentKernel, apply_contraction, form_inverse,  # noqa: F401
                      kernel_to_state, log_kernel_trace, state_to_kernel)
-from .states import (PURE_NOISE, PURE_TOL, GaussianState, gaussian_transform,
-                     require_physical)
+from .states import (PURE_FRAME, PURE_NOISE, PURE_TOL, GaussianState,
+                     gaussian_transform, require_physical)
 from .williamson import symplectic_eigenvalues, williamson_decompose, d_to_t
 
 #: kernels whose pair block A is below this are treated as pair-free; their
@@ -90,10 +88,9 @@ def reduce_to_thermal(rho: GaussianState, sigma: GaussianState
 
     Returns (rho', s, pure) where the same transform sends sigma to the
     zero-mean thermal state with ascending parameters s (read-only), to
-    within the Williamson diagonalization residue, and pure says whether
-    every symplectic eigenvalue d of rho, from its physicality check, is
-    within PURE_NOISE * max_ij |S_ij| of 1/2.  Mode counts are compared
-    before any factorization; sigma's physicality is checked by its own Williamson
+    within the Williamson diagonalization residue, and pure says whether rho
+    counts as pure (states.PURE_NOISE).  Mode counts are compared before any
+    factorization; sigma's physicality is checked by its own Williamson
     decomposition, after the checks that need no factorization.  Raises
     ModeMismatchError, UnphysicalStateError for an unphysical rho or sigma,
     and NotFaithfulError if sigma has a pure mode.
@@ -109,7 +106,7 @@ def reduce_to_thermal(rho: GaussianState, sigma: GaussianState
             f"{np.log1p(1.0 / PURE_TOL):.3g}), or its mode counts as pure; "
             f"got d - 1/2 = {np.array2string(form.d - 0.5, precision=3)}")
     rho_prime = gaussian_transform(rho, form.L, shift=sigma.mean)
-    pure = float(d.max()) - 0.5 <= PURE_NOISE * float(abs(rho.cov).max())
+    pure = float(abs(rho.cov).max()) <= PURE_FRAME and float(d.max()) - 0.5 <= PURE_NOISE
     return rho_prime, form.t, pure
 
 
@@ -134,10 +131,6 @@ class EntropyReport:
 
 def _contracted_thermal_parameters(z: CoherentKernel) -> np.ndarray:
     """Thermal parameters t_Z of each contracted sandwich of a stack, ascending.
-
-    Only a mixed rho comes here; a pure one has every t_Z = inf and skips
-    this stage.  A partly pure rho's pure modes can come out of either
-    branch as rounding noise at a finite t_Z.
 
     The final assembly needs alpha * t_Z, so t_Z must stay accurate even
     when a strong contraction makes it large.  With a negligible pair
@@ -171,8 +164,7 @@ def _contracted_thermal_parameters(z: CoherentKernel) -> np.ndarray:
 
 def _stack(kernel_prime: CoherentKernel, s: np.ndarray, alpha: np.ndarray,
            pure: bool) -> list[EntropyReport]:
-    """Reports for a stack of orders alpha, from rho's kernel in sigma's frame;
-    a pure rho takes t_Z = inf with no spectrum."""
+    """Reports for a stack of orders alpha, from rho's kernel in sigma's frame."""
     z = apply_contraction(kernel_prime, fractional_power_contraction(s, alpha))
     ln_trace = log_kernel_trace(z)
     t_z = np.full(z.mu.shape, np.inf) if pure else _contracted_thermal_parameters(z)

@@ -24,17 +24,24 @@ PHYSICAL_TOL = 1e-10
 SYMPLECTIC_TOL = 1e-10
 #: symplectic eigenvalues within this of 1/2 are treated as pure
 PURE_TOL = 1e-9
-#: rounding floor of a computed symplectic spectrum, relative to max_ij |S_ij|:
-#: a state is pure when every d_j - 1/2 <= PURE_NOISE * max_ij |S_ij|.
-#: PURE_TOL is far too coarse for this: a mode with d - 1/2 = 5e-10 has
-#: t = 21.4 and is mixed.  Pure states in random frames (squeeze <= 0.5,
-#: random displacement) read d - 1/2 of at most 3.1, 5.1, 8.4, 11.2 and
-#: 23.6 eps * max|S| at n = 1, 4, 16, 64 and 128.  An unsqueezed thermal
-#: mode counts as pure from t ~ 33 on (thermal_state(32) has
-#: d - 1/2 = 1.3e-14 and is mixed, thermal_state(33) 4.7e-15), which moves
-#: D_alpha by -ln(1 - e^(-alpha t_Z)) / (1 - alpha), about
-#: e^(-alpha t_Z) / (1 - alpha).
-PURE_NOISE = 64 * np.finfo(float).eps
+#: a state counts as pure when max_ij |S_ij| <= PURE_FRAME and every
+#: computed d_j - 1/2 <= PURE_NOISE (7.1e-15).  PURE_TOL is far too coarse
+#: for this: a mode with d - 1/2 = 5e-10 has t = 21.4 and is mixed.  The
+#: rounding of a computed d grows with the squeezing of the frame, roughly
+#: as eps max|S|^2: a mode with d - 1/2 = 1e-13 (t = 29.9) squeezed by 3 in
+#: a random frame (max|S| = 120) reads -5.9e-13.  Up to max|S| = 2 it stays
+#: within 7.0, 9.5, 12.6 and 27.2 eps at n = 1, 4, 16 and 64, so in every
+#: frame a mode counts as pure only from t ~ 32 on; with d exact (an
+#: unsqueezed thermal mode) from t = 32.6 on: thermal_state(32) has
+#: d - 1/2 = 1.3e-14 and is mixed, thermal_state(33) 4.7e-15.  That moves
+#: D_alpha by -ln(1 - e^(-alpha t_Z)) / (1 - alpha), about e^(-alpha t_Z) at
+#: moderate alpha (1.4e-2 for t = 33 against s = 1.2 at alpha = 0.1); but
+#: as alpha -> 0, alpha t_Z -> s (1 - alpha) and it tends to
+#: -ln(1 - e^(-s)) (0.25 at alpha = 0.01, 0.36 in the limit, for s = 1.2).
+#: Pure states of squeeze <= 0.5 in random frames (max|S| <= 1.36) read at
+#: most 2.5, 4.0, 6.0, 6.5, 7.5 and 12.5 eps at n = 1, 4, 16, 32, 64 and 128.
+PURE_NOISE = 32 * np.finfo(float).eps
+PURE_FRAME = 2.0
 #: cap on the squeezing parameter accepted by the builders
 MAX_SQUEEZE = 5.0
 

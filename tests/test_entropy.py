@@ -386,8 +386,8 @@ def test_near_bound_verdict_is_frame_invariant(frame, gap, accepted):
             assert np.linalg.eigvalsh(state_to_kernel(state).lam).min() >= -LAM_PSD_TOL
 
 
-@pytest.mark.parametrize("r", [0.0, 2.0])
-@pytest.mark.parametrize("gap", [1e-6, 5e-10])
+@pytest.mark.parametrize("r", [0.0, 2.0, 5.0])
+@pytest.mark.parametrize("gap", [1e-6, 5e-10, 1e-10])
 def test_near_pure_rho_matches_series(gap, r):
     # a nearly pure thermal rho, jointly squeezed with its reference
     rho = GaussianState(np.zeros(2), (0.5 + gap) * np.eye(2))
@@ -466,8 +466,21 @@ def test_nearly_pure_rho_keeps_finite_t_z(rho):
     assert abs(report.divergence - mixed) < 1e-2 * abs(pure - mixed)
 
 
+def test_nearly_pure_rho_in_a_squeezed_frame_keeps_finite_t_z():
+    # d - 1/2 = 1e-13 (t = 29.9), squeezed by 3 in a random frame shared with
+    # sigma: there the computed d - 1/2 reads -5.9e-13, below PURE_NOISE, but
+    # max|S| = 120 is above PURE_FRAME, so rho keeps the mixed route
+    L = _squeeze(1, 3.0) @ random_symplectic(np.random.default_rng(0), 1)
+    rho = gaussian_transform(GaussianState(np.zeros(2), (0.5 + 1e-13) * np.eye(2)), L)
+    report = sandwiched_renyi(rho, gaussian_transform(thermal_state(1.2), L), 0.01)
+    assert np.isfinite(report.t_Z).all()
+    mixed = thermal_series_divergence(math.log1p(1e13), 1.2, 0.01)
+    pure = thermal_series_divergence(math.inf, 1.2, 0.01)
+    assert abs(report.divergence - mixed) < 0.05 * abs(pure - mixed)
+
+
 def test_thermal_rho_past_the_noise_floor_counts_as_pure():
-    # thermal_state(33) has d - 1/2 = 4.7e-15 <= PURE_NOISE * max|S|, so it is
+    # thermal_state(33) has d - 1/2 = 4.7e-15 <= PURE_NOISE, so it is
     # taken as the vacuum, which drops p(alpha t_Z), t_Z = 33 + 1.2 (1-alpha)/alpha
     alpha = 0.1
     report = sandwiched_renyi(thermal_state(33.0), thermal_state(1.2), alpha)
