@@ -6,6 +6,7 @@ The names below are the documented API; the pipeline's stages stay
 importable from their submodules (states, williamson, kernel, entropy).
 """
 
+from ._heap import keep_freed_memory
 from .exceptions import (
     AlphaRangeError,
     DecompositionError,
@@ -24,6 +25,8 @@ from .states import (
     thermal_state,
 )
 from .entropy import EntropyReport, sandwiched_renyi, sandwiched_renyi_sweep
+
+keep_freed_memory()
 
 __version__ = "0.1.0"
 

@@ -490,3 +490,20 @@ def test_thermal_rho_past_the_noise_floor_counts_as_pure():
     dropped = -math.log1p(-math.exp(-alpha * (33.0 + 1.2 * (1.0 - alpha) / alpha)))
     assert math.isclose(report.divergence - thermal_series_divergence(33.0, 1.2, alpha),
                         dropped / (1.0 - alpha), rel_tol=1e-6)
+
+
+def test_repeated_sweep_faults_in_no_pages(rng):
+    # the package keeps freed temporaries in the heap (gauss_renyi._heap), so
+    # a second sweep reuses the pages of the first; with glibc's default
+    # malloc thresholds an n = 32 sweep faults in about 5,100 of them again
+    from gauss_renyi._heap import keep_freed_memory
+
+    if not keep_freed_memory():
+        pytest.skip("malloc thresholds are set only under glibc")
+    resource = pytest.importorskip("resource")
+    rho, sigma = random_faithful_state(rng, 32), random_faithful_state(rng, 32)
+    alphas = np.linspace(0.3, 0.99, 64)
+    sandwiched_renyi_sweep(rho, sigma, alphas)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    sandwiched_renyi_sweep(rho, sigma, alphas)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
