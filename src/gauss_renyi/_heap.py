@@ -8,8 +8,9 @@ once it exceeds the trim threshold (128 KiB, raised to twice the largest
 freed mapped block).  Every stack then faults the same pages in again: a
 mixed n = 32 sweep over 64 orders takes about 5,100 page faults (3 with the
 thresholds below), and an 8-s perfbench alpha-sweep run spent 0.70 s in
-the kernel (0.04 s with them), a cost that varies with the machine's load.  Fixed thresholds keep blocks below MMAP_THRESHOLD in
-the heap and hand free memory back only beyond TRIM_THRESHOLD.
+the kernel (0.04 s with them), a cost that varies with the machine's load.
+Fixed thresholds keep blocks below MMAP_THRESHOLD in the heap and hand free
+memory back only beyond TRIM_THRESHOLD.
 
 The setting is process-wide; it is made once, when the package is imported.
 """
