@@ -139,7 +139,8 @@ def cmd_convert(args) -> int:
     back = kernel_to_state(kernel)
     payload = {
         "n": state.n,
-        "c": json_number(kernel.c),
+        "c": json_number(math.exp(kernel.log_c)),
+        "ln_c": json_number(kernel.log_c),
         "mu": [_pair(z) for z in kernel.mu],
         "A": [[_pair(z) for z in row] for row in kernel.A],
         "Lambda": [[_pair(z) for z in row] for row in kernel.lam],
@@ -149,7 +150,8 @@ def cmd_convert(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(f"{'n':<{_LABEL_WIDTH}} {payload['n']}")
-        print(f"{'c':<{_LABEL_WIDTH}} {_fmt(kernel.c)}")
+        for key in ("c", "ln_c"):
+            print(f"{key:<{_LABEL_WIDTH}} {_fmt(payload[key])}")
         print(f"{'mu':<{_LABEL_WIDTH}} " +
               ", ".join(f"[{_fmt(z.real)}, {_fmt(z.imag)}]" for z in kernel.mu))
         for label, mat in (("A", kernel.A), ("Lambda", kernel.lam)):

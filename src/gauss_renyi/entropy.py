@@ -12,9 +12,10 @@ and assemble
 where p(t) = prod_j (1 - e^(-t_j)) and p(inf) = 1.  All products of p and
 the trace are accumulated in the log domain.
 
-A rho that counts as pure (states.PURE_NOISE, read off the spectrum of its
-physicality check) gives a rank-one sandwich, so every t_Z is inf and the
-t_Z stage is skipped.
+sigma is faithful, so the sandwich has as many pure modes as rho: as many
+of its largest t_Z as rho has pure modes (states.PURE_NOISE, read off the
+spectrum of its physicality check) are inf.  For a pure rho that is every
+t_Z, and the t_Z stage is skipped.
 
 The reduction runs once per call.  The per-order stage (contraction, trace,
 t_Z and assembly) runs once per stack of orders: every formula takes a
@@ -83,13 +84,14 @@ def fractional_power_contraction(s, alpha) -> np.ndarray:
 
 
 def reduce_to_thermal(rho: GaussianState, sigma: GaussianState
-                      ) -> tuple[GaussianState, np.ndarray, bool]:
+                      ) -> tuple[GaussianState, np.ndarray, int]:
     """Apply the sigma-normalizing Gaussian unitary to rho.
 
-    Returns (rho', s, pure) where the same transform sends sigma to the
+    Returns (rho', s, p) where the same transform sends sigma to the
     zero-mean thermal state with ascending parameters s (read-only), to
-    within the Williamson diagonalization residue, and pure says whether rho
-    counts as pure (states.PURE_NOISE).  Mode counts are compared before any
+    within the Williamson diagonalization residue, and p counts rho's pure
+    modes: those with d_j - 1/2 <= states.PURE_NOISE, none unless
+    max_ij |S_ij| <= states.PURE_FRAME.  Mode counts are compared before any
     factorization; sigma's physicality is checked by its own Williamson
     decomposition, after the checks that need no factorization.  Raises
     ModeMismatchError, UnphysicalStateError for an unphysical rho or sigma,
@@ -106,7 +108,7 @@ def reduce_to_thermal(rho: GaussianState, sigma: GaussianState
             f"{np.log1p(1.0 / PURE_TOL):.3g}), or its mode counts as pure; "
             f"got d - 1/2 = {np.array2string(form.d - 0.5, precision=3)}")
     rho_prime = gaussian_transform(rho, form.L, shift=sigma.mean)
-    pure = float(abs(rho.cov).max()) <= PURE_FRAME and float(d.max()) - 0.5 <= PURE_NOISE
+    pure = int((d - 0.5 <= PURE_NOISE).sum()) if float(abs(rho.cov).max()) <= PURE_FRAME else 0
     return rho_prime, form.t, pure
 
 
@@ -163,11 +165,14 @@ def _contracted_thermal_parameters(z: CoherentKernel) -> np.ndarray:
 
 
 def _stack(kernel_prime: CoherentKernel, s: np.ndarray, alpha: np.ndarray,
-           pure: bool) -> list[EntropyReport]:
-    """Reports for a stack of orders alpha, from rho's kernel in sigma's frame."""
+           pure: int) -> list[EntropyReport]:
+    """Reports for a stack of orders alpha, from rho's kernel in sigma's frame
+    and the count of rho's pure modes."""
     z = apply_contraction(kernel_prime, fractional_power_contraction(s, alpha))
     ln_trace = log_kernel_trace(z)
-    t_z = np.full(z.mu.shape, np.inf) if pure else _contracted_thermal_parameters(z)
+    mixed = s.size - pure  # t_z ascends: the pure modes' (noise) t_Z come last
+    t_z = _contracted_thermal_parameters(z) if mixed else np.full(z.mu.shape, np.inf)
+    t_z[:, mixed:] = np.inf
     ln_ps = log_thermal_norm(s)
     ln_ptz = log_thermal_norm(t_z)
     ln_patz = log_thermal_norm(alpha[:, None] * t_z)
@@ -195,7 +200,7 @@ def sandwiched_renyi_sweep(rho: GaussianState, sigma: GaussianState,
                            alphas) -> list[EntropyReport]:
     """Evaluate the divergence for several orders, in the order given.
 
-    sigma is reduced, rho's purity decided and rho's kernel built once; the
+    sigma is reduced, rho's pure modes counted and rho's kernel built once; the
     per-order stage runs on stacks of up to _STACK_ENTRIES // (2n)^2 orders
     at a time.
     """

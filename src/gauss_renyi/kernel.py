@@ -5,13 +5,13 @@ A positive operator Z on n modes whose matrix elements between exponential
 
     <e(conj(u)) | Z | e(v)> = c * exp(l.u + mu.v + u.A u + u.Lam v + v.B v)
 
-is described here by the quadruple (c, mu, A, Lam); positivity forces
+is described here by the quadruple (ln c, mu, A, Lam); positivity forces
 l = conj(mu) and B = conj(A), with A complex symmetric and Lam hermitian
 positive semidefinite.  Gaussian states, their fractional-power sandwiches
 and their traces all have closed forms in this parametrization.
 
 A stack of contractions (apply_contraction) gives a stack of kernels that
-share c: mu, A and Lam carry a leading axis, one entry per contraction, and
+share ln c: mu, A and Lam carry a leading axis, one entry per contraction, and
 form_matrix, log_kernel_trace and form_inverse work on every entry at once
 through numpy.linalg's stacked (..., m, m) routines.  NumPy has no
 triangular solver, so Cholesky factors are never handed to its LU-based
@@ -27,23 +27,24 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import NotTraceClassError, UnphysicalStateError
-from .states import GaussianState
+from .states import PHYSICAL_TOL, GaussianState
 
 #: max asymmetry / non-hermiticity accepted in kernel matrices
 KERNEL_SYM_TOL = 1e-12
-#: Lam may dip this far below PSD before we reject it
-LAM_PSD_TOL = 1e-10
+#: Lam may dip this far below PSD before we reject it: a physical state's
+#: kernel has lambda_min(Lam) >= d_min - 1/2 >= -PHYSICAL_TOL
+LAM_PSD_TOL = PHYSICAL_TOL
 #: minimum squared Cholesky pivot of the real form matrix for trace-class
 #: operators
 FORM_MIN_EIG = 1e-12
 #: corner of the bordered form matrix [[M, b], [b^T, _BORDER]], whose last
 #: squared pivot is _BORDER - b . M^{-1} b.  A state's kernel, contracted or
-#: not, has Tr Z <= 1 and M <= 2I, so b . M^{-1} b <= ln det M / 2 - ln c
-#: <= n ln 2 + 708.4 while c is a normal double; the border fails only past
-#: b . M^{-1} b = 1e300
+#: not, has Tr Z <= 1 and M <= 2I, so b . M^{-1} b <= n ln 2 - ln c, where
+#: -ln c grows as the squared displacement; the border is the one limit on it
 _BORDER = 1e300
-#: smallest kernel scale c accepted: below it c is subnormal and loses bits
-_TINY = float(np.finfo(float).tiny)
+#: the other reason a bordered factor fails, besides an indefinite M
+_PAST_BORDER = (f"b . M^-1 b, which grows as the squared displacement, is past {_BORDER:.0e}, "
+                "the corner of the bordered form matrix (a displacement of about 1e150)")
 #: lower_triangular_inverse hands diagonal blocks of at most this size to
 #: numpy.linalg.inv
 _TRI_LEAF = 16
@@ -51,9 +52,9 @@ _TRI_LEAF = 16
 
 @dataclass(frozen=True)
 class CoherentKernel:
-    """Parameters (c, mu, A, lam) of a positive Gaussian generating kernel."""
+    """Parameters (ln c, mu, A, lam) of a positive Gaussian generating kernel."""
 
-    c: float
+    log_c: float
     mu: np.ndarray
     A: np.ndarray
     lam: np.ndarray
@@ -63,9 +64,7 @@ class CoherentKernel:
         n = mu.size
         A = np.asarray(self.A, dtype=complex).reshape(n, n)
         lam = np.asarray(self.lam, dtype=complex).reshape(n, n)
-        if not self.c > 0:
-            raise ValueError(f"kernel scale c must be positive, got {self.c}")
-        for name, arr in (("mu", mu), ("A", A), ("lam", lam)):
+        for name, arr in (("log_c", self.log_c), ("mu", mu), ("A", A), ("lam", lam)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"kernel {name} has non-finite entries")
         if np.max(np.abs(A - A.T)) > KERNEL_SYM_TOL:
@@ -74,7 +73,7 @@ class CoherentKernel:
             raise ValueError("kernel matrix lam must be hermitian")
         if np.linalg.eigvalsh(lam).min() < -LAM_PSD_TOL:
             raise ValueError("kernel matrix lam must be positive semidefinite")
-        _set_fields(self, self.c, mu, A, lam)
+        _set_fields(self, self.log_c, mu, A, lam)
 
     @property
     def n(self) -> int:
@@ -85,7 +84,8 @@ class CoherentKernel:
         """Lower numpy.linalg Cholesky factor F of the bordered form matrix
         [[M(A, lam), b], [b^T, _BORDER]], b = (Re mu, -Im mu), shared by the
         trace and the covariance, or None unless M is positive definite with
-        every squared pivot above FORM_MIN_EIG (for a stack: every M of it).
+        every squared pivot above FORM_MIN_EIG and b . M^{-1} b < _BORDER
+        (for a stack: every entry).
         The leading block of F is the Cholesky factor L of M, and its last
         row is y = L^{-1} b, so b . M^{-1} b = |y|^2 needs no solve.  The
         factorization is the definiteness test, so no eigensolve runs; a
@@ -108,11 +108,11 @@ class CoherentKernel:
         return F if float(F.diagonal(0, -2, -1)[..., :m].min()) ** 2 > FORM_MIN_EIG else None
 
 
-def _set_fields(kernel: CoherentKernel, c, mu, A, lam) -> CoherentKernel:
+def _set_fields(kernel: CoherentKernel, log_c, mu, A, lam) -> CoherentKernel:
     for name, arr in (("mu", mu), ("A", A), ("lam", lam)):
         arr.flags.writeable = False
         object.__setattr__(kernel, name, arr)
-    object.__setattr__(kernel, "c", float(c))
+    object.__setattr__(kernel, "log_c", float(log_c))
     return kernel
 
 
@@ -171,9 +171,9 @@ def lower_triangular_inverse(L: np.ndarray) -> np.ndarray:
 def log_kernel_trace(kernel: CoherentKernel):
     """ln Tr Z for a positive kernel, or an array of them for a stack of
     kernels; raises NotTraceClassError unless M(A, lam) is positive definite
-    with every squared Cholesky pivot above 1e-12.
+    with every squared Cholesky pivot above 1e-12 and b . M^{-1} b < _BORDER.
 
-    Tr Z = c / sqrt(det M) * exp(b . M^{-1} b) with b = (Re mu, -Im mu);
+    ln Tr Z = ln c - ln det M / 2 + b . M^{-1} b with b = (Re mu, -Im mu);
     the sign on the imaginary block comes from the conjugate slot of the
     coherent-vector resolution of the identity.  Both come from the
     bordered Cholesky factor (_form_factor): ln det M = 2 sum ln L_jj over
@@ -184,10 +184,10 @@ def log_kernel_trace(kernel: CoherentKernel):
     if F is None:
         raise NotTraceClassError(
             "not trace class: form matrix not positive definite "
-            f"(needs min eigenvalue > {FORM_MIN_EIG:.0e})")
+            f"(needs min eigenvalue > {FORM_MIN_EIG:.0e}), or {_PAST_BORDER}")
     logdet = 2.0 * np.log(F.diagonal(0, -2, -1)[..., :-1]).sum(axis=-1)
     y = F[..., -1:, :-1]
-    trace = np.log(kernel.c) - 0.5 * logdet + (y @ y.swapaxes(-1, -2))[..., 0, 0]
+    trace = kernel.log_c - 0.5 * logdet + (y @ y.swapaxes(-1, -2))[..., 0, 0]
     return trace if trace.ndim else float(trace)
 
 
@@ -200,14 +200,11 @@ def state_to_kernel(state: GaussianState) -> CoherentKernel:
         A   = ((G11 - G22) + i (G12 + G21)) / 4
         lam = I - ((G11 + G22) + i (G21 - G12)) / 2
         mu  = m - 2 conj(A) conj(m) - conj(lam) m
-        c   = det(I/2 + S)^{-1/2}
-              * exp(-|m|^2 + 2 Re(m.A m) + m.lam conj(m))
+        ln c = -ln det(I/2 + S) / 2 - |m|^2 + 2 Re(m.A m) + m.lam conj(m)
 
     The mean enters exactly as a displacement acting on the zero-mean
-    kernel, which fixes every conjugation above.  Raises NotTraceClassError
-    when c underflows below the smallest normal double (ln c < -708.4),
-    where it would carry too few bits; for a coherent rho' that is a
-    displacement |m| above about 26.6.
+    kernel, which fixes every conjugation above.  Only ln c is formed, as c
+    is subnormal from |m|^2 = 708.4; NotTraceClassError once |m|^2 overflows.
 
     One Cholesky factor I/2 + S = L L^T gives both: ln det = 2 sum ln L_jj,
     and G = L^{-T} L^{-1} with L^{-1} from lower_triangular_inverse.
@@ -234,17 +231,12 @@ def state_to_kernel(state: GaussianState) -> CoherentKernel:
     A = 0.5 * (A + A.T)
     lam = 0.5 * (lam + lam.conj().T)
 
-    m = state.mean[:n] + 1j * state.mean[n:]
+    m = state.mean_complex()
     mu = m - 2.0 * A.conj() @ m.conj() - lam.conj() @ m
     quad = float((-m.conj() @ m + 2.0 * (m @ A @ m) + m @ lam @ m.conj()).real)
-    log_c = -0.5 * logdet + quad
-    c = float(np.exp(log_c))
-    if c < _TINY:
-        raise NotTraceClassError(
-            f"kernel scale c = exp({log_c:.6g}) underflows below the smallest normal "
-            f"double {_TINY:.3g}, whose limit is ln c > {np.log(_TINY):.1f}; "
-            "the displacement is too large")
-    return _set_fields(object.__new__(CoherentKernel), c, mu, A, lam)
+    if not np.isfinite(quad):  # |m|^2 overflows from |m| = 1.3e154
+        raise NotTraceClassError(f"not trace class: {_PAST_BORDER}")
+    return _set_fields(object.__new__(CoherentKernel), -0.5 * logdet + quad, mu, A, lam)
 
 
 def form_inverse(kernel: CoherentKernel, orders=...) -> np.ndarray:
@@ -255,12 +247,12 @@ def form_inverse(kernel: CoherentKernel, orders=...) -> np.ndarray:
     shares, inverted by lower_triangular_inverse.  M^{-1} - I/2 = J S J^T
     is the covariance S of the kernel's state turned by the symplectic J,
     so it has S's symplectic spectrum.  Raises UnphysicalStateError when
-    the form matrix is singular or indefinite.
+    the form matrix is singular or indefinite, or b . M^{-1} b >= _BORDER.
     """
     F = kernel._form_factor
     if F is None:
         raise UnphysicalStateError(
-            "kernel parameters do not describe a normalizable gaussian state")
+            f"kernel parameters do not describe a normalizable gaussian state, or {_PAST_BORDER}")
     Li = lower_triangular_inverse(F[orders, :-1, :-1])
     return Li.swapaxes(-1, -2) @ Li
 
@@ -293,7 +285,7 @@ def apply_contraction(kernel: CoherentKernel, k: np.ndarray) -> CoherentKernel:
     """Parameters of Gamma(K) Z Gamma(K) for a diagonal contraction K.
 
     Gamma(K) is the second quantization of K = diag(k); sandwiching maps
-    (c, mu, A, lam) to (c, K mu, K A K, K lam K).  Entries of k must lie
+    (ln c, mu, A, lam) to (ln c, K mu, K A K, K lam K).  Entries of k must lie
     in [0, 1], and NaN or inf raises ValueError.  A stack of contractions k
     of shape (m, n) gives the stack of m sandwiched kernels.  A real
     diagonal K keeps A symmetric and lam hermitian PSD, so CoherentKernel's
@@ -307,18 +299,18 @@ def apply_contraction(kernel: CoherentKernel, k: np.ndarray) -> CoherentKernel:
     if (k < 0.0).any() or (k > 1.0 + 1e-12).any():
         raise ValueError(f"contraction violation: diagonal entries must be in [0, 1], got {k}")
     outer = k[..., :, None] * k[..., None, :]
-    return _set_fields(object.__new__(CoherentKernel), kernel.c, k * kernel.mu,
+    return _set_fields(object.__new__(CoherentKernel), kernel.log_c, k * kernel.mu,
                        outer * kernel.A, outer * kernel.lam)
 
 
 def evaluate_kernel(kernel: CoherentKernel, u: np.ndarray, v: np.ndarray) -> complex:
-    """Evaluate c * exp(conj(mu).u + mu.v + u.Au + u.Lam v + v.conj(A)v).
+    """Evaluate exp(ln c + conj(mu).u + mu.v + u.Au + u.Lam v + v.conj(A)v).
 
     This is the predicted matrix element <e(conj(u)) | Z | e(v)>; the dense
     Fock oracle computes the same quantity independently.
     """
     u = np.asarray(u, dtype=complex).reshape(-1)
     v = np.asarray(v, dtype=complex).reshape(-1)
-    expo = (kernel.mu.conj() @ u + kernel.mu @ v + u @ kernel.A @ u
+    expo = (kernel.log_c + kernel.mu.conj() @ u + kernel.mu @ v + u @ kernel.A @ u
             + u @ kernel.lam @ v + v @ kernel.A.conj() @ v)
-    return complex(kernel.c * np.exp(expo))
+    return complex(np.exp(expo))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import analytic_coherent_thermal
 from gauss_renyi import verify
 from gauss_renyi.cli import _fmt, main
 
@@ -186,6 +187,7 @@ def test_convert_coherent_kernel(states, capsys):
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["c"] - math.exp(-1.0)) < 1e-11
+    assert abs(payload["ln_c"] + 1.0) < 1e-11
     assert payload["mu"] == [[1.0, 0.0]]
     assert payload["A"] == [[[0.0, 0.0]]]
     back = payload["state_roundtrip"]
@@ -319,11 +321,18 @@ def test_module_entry_point_runs(states):
 
 
 def test_large_displacement_exit_2_without_traceback(states, tmp_path):
-    far = write(tmp_path, "far.json", {"coherent": [[30.0, 0.0]]})
+    # |gamma| = 30 has kernel scale c = e^-900, which underflows, but only
+    # ln c enters; the displacement limit is the trace's 1e300, near 1e150
     sigma = write(tmp_path, "thermal1.json", {"thermal": [1.0]})
-    proc = cli_process("entropy", "--alpha", "0.5", far, sigma)
+    far = write(tmp_path, "far.json", {"coherent": [[30.0, 0.0]]})
+    proc = cli_process("entropy", "--alpha", "0.5", "--format", "json", far, sigma)
+    assert proc.returncode == 0, proc.stderr
+    exact = analytic_coherent_thermal(30.0, 1.0, 0.5)
+    assert abs(json.loads(proc.stdout)["divergence"] - exact) <= 1e-11 * exact  # 12 digits
+    huge = write(tmp_path, "huge.json", {"coherent": [[1e151, 0.0]]})
+    proc = cli_process("entropy", "--alpha", "0.5", huge, sigma)
     assert proc.returncode == 2
-    assert "underflows" in proc.stderr
+    assert "past 1e+300" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from gauss_renyi.exceptions import (AlphaRangeError, NotFaithfulError,
                                     NotTraceClassError, UnphysicalStateError)
 from gauss_renyi.kernel import LAM_PSD_TOL, apply_contraction, state_to_kernel
 from gauss_renyi.sampling import random_faithful_state, random_symplectic
-from gauss_renyi.states import (GaussianState, coherent_state, gaussian_transform,
+from gauss_renyi.states import (PURE_FRAME, GaussianState, coherent_state, gaussian_transform,
                                 squeezed_vacuum, tensor, thermal_state)
 from gauss_renyi.verify import coherent_thermal_divergence, thermal_series_divergence
 
@@ -327,16 +328,56 @@ def test_unphysical_rho_rejected(mean, cov):
 
 
 def test_large_displacement_is_a_domain_error():
-    # ln c = -|gamma|^2 must stay above ln(smallest normal double) = -708.4:
-    # |gamma| = 26.6 is still exact, and a subnormal c gave errors of -1.1e-8,
-    # +5.0e-3 and +0.24 at 27.0, 27.2 and 27.28 before c reached 0 near 27.3
-    for gamma in (20.0, 26.0, 26.6):
-        value = sandwiched_renyi(coherent_state(gamma), thermal_state(1.0), 0.5).divergence
-        exact = analytic_coherent_thermal(gamma, 1.0, 0.5)
-        assert abs(value - exact) <= 1e-12 * exact, gamma
-    for gamma in (27.0, 27.2, 27.28, 30.0):
-        with pytest.raises(NotTraceClassError, match=r"underflows.*ln c > -708\.4"):
-            sandwiched_renyi(coherent_state(gamma), thermal_state(1.0), 0.5)
+    # the one displacement limit is the corner 1e300 of the trace's bordered
+    # factor, which b . M^{-1} b = e^-1 |gamma|^2 passes between 1e149 and 1e151
+    value = sandwiched_renyi(coherent_state(1e149), thermal_state(1.0), 0.5).divergence
+    exact = analytic_coherent_thermal(1e149, 1.0, 0.5)
+    assert abs(value - exact) <= 1e-12 * exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NotTraceClassError, match=r"squared displacement, is past 1e\+300"):
+            sandwiched_renyi(coherent_state(1e151), thermal_state(1.0), 0.5)
+    # from |gamma| = 1.3e154 |gamma|^2 overflows a double (with a RuntimeWarning
+    # of its own): at alpha = 0.01 the contraction keeps b . M^{-1} b below the
+    # border, so only ln c = -inf shows it
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NotTraceClassError, match=r"past 1e\+300"):
+            sandwiched_renyi(coherent_state(1e155), thermal_state(1.0), 0.01)
+
+
+@pytest.mark.parametrize("s", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("gamma", [26.6, 27.0, 27.28, 30.0, 100.0, 1000.0, 1e5, 1e12])
+def test_large_displacement_matches_closed_form(gamma, s):
+    # ln c = -|gamma|^2 is carried as a log: c = e^(ln c) is subnormal past
+    # |gamma| = 26.6 and 0 past 27.3, and limits nothing
+    reports = sandwiched_renyi_sweep(coherent_state(gamma), thermal_state(s),
+                                     [0.01, 0.1, 0.5, 0.9])
+    for report in reports:
+        exact = analytic_coherent_thermal(gamma, s, report.alpha)
+        assert abs(report.divergence - exact) <= 1e-12 * exact, report.alpha
+
+
+def test_displacement_limit_is_not_per_mode():
+    # sum_j |gamma_j|^2 = 740 puts ln c below -708.4, although each |gamma_j|
+    # is far below 26.6
+    report = sandwiched_renyi(coherent_state([3.4] * 64), thermal_state([1.0] * 64), 0.5)
+    exact = 64 * analytic_coherent_thermal(3.4, 1.0, 0.5)
+    assert abs(report.divergence - exact) <= 1e-12 * exact
+
+
+def test_strongly_displaced_mixed_pair_is_unitary_invariant():
+    # means of scale 150, so ln c is about -1e5 in either frame
+    rng = np.random.default_rng(3)
+    rho, sigma = (random_faithful_state(rng, 3, mean_scale=150.0) for _ in range(2))
+    L, shift = random_symplectic(rng, 3), rng.normal(scale=150.0, size=6)
+    frame = lambda state: gaussian_transform(state, L, shift=shift)
+    alphas = [0.1, 0.5, 0.9]
+    before = sandwiched_renyi_sweep(rho, sigma, alphas)
+    after = sandwiched_renyi_sweep(frame(rho), frame(sigma), alphas)
+    for a, b in zip(before, after):
+        assert a.divergence > 1e4
+        assert abs(a.divergence - b.divergence) <= 1e-12 * a.divergence, a.alpha
 
 
 def _squeeze(n: int, r: float) -> np.ndarray:
@@ -447,6 +488,28 @@ def test_coherent_product_f1_case_is_exact(alpha):
     assert abs(report.divergence - exact) <= 1e-12 * exact
 
 
+@pytest.mark.parametrize("n,seed", [(2, 2), (2, 3), (4, 1), (4, 2), (8, 0), (8, 1)])
+def test_partly_pure_rho_in_random_frames_matches_closed_forms(n, seed):
+    # coherent (pure) and thermal (mixed) modes under one joint unitary: the
+    # t_Z stage reads the sandwich's pure modes as rounding noise, finite
+    # (F1), so they are taken as inf from rho's count.  On these seeds the
+    # noise moved the value by 3e-3 to 3e-2
+    rng = np.random.default_rng(seed)
+    gamma = [complex(*rng.normal(scale=0.5, size=2)) for _ in range(n // 2)]
+    t = rng.uniform(1.0, 2.5, size=n - n // 2)
+    s = rng.uniform(0.3, 2.5, size=n)
+    L, shift = random_symplectic(rng, n, max_squeeze=0.3), rng.normal(scale=0.5, size=2 * n)
+    frame = lambda state: gaussian_transform(state, L, shift=shift)
+    rho = frame(tensor(coherent_state(gamma), thermal_state(t)))
+    assert abs(rho.cov).max() <= PURE_FRAME
+    for alpha in (0.5, 0.1):
+        report = sandwiched_renyi(rho, frame(thermal_state(s)), alpha)
+        assert np.isinf(report.t_Z).sum() == n // 2
+        exact = (sum(analytic_coherent_thermal(g, sj, alpha) for g, sj in zip(gamma, s))
+                 + sum(series_thermal_divergence(tj, sj, alpha) for tj, sj in zip(t, s[n // 2:])))
+        assert abs(report.divergence - exact) <= 1e-12 * exact, alpha
+
+
 @pytest.mark.parametrize("rho", [
     thermal_state(32.0),  # d - 1/2 = 1.3e-14: above the purity noise floor
     thermal_state(math.log1p(1.0 / 5e-10)),  # within PURE_TOL, but mixed (t = 21.4)
@@ -490,6 +553,24 @@ def test_thermal_rho_past_the_noise_floor_counts_as_pure():
     dropped = -math.log1p(-math.exp(-alpha * (33.0 + 1.2 * (1.0 - alpha) / alpha)))
     assert math.isclose(report.divergence - thermal_series_divergence(33.0, 1.2, alpha),
                         dropped / (1.0 - alpha), rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.01])
+def test_thermal_mode_past_the_noise_floor_in_a_mixed_rho_counts_as_pure(alpha):
+    # rho's pure modes are counted one by one, so the t = 33 mode is taken as
+    # the vacuum next to a mixed one; the cost is that mode's dropped
+    # p(alpha t_Z), as for thermal_state(33) alone: 1.4e-2 at alpha = 0.1 and
+    # 0.25 at 0.01.  A t = 32 mode stays mixed
+    report = sandwiched_renyi(thermal_state([33.0, 1.0]), thermal_state([1.2, 0.8]), alpha)
+    assert np.isinf(report.t_Z).sum() == 1
+    rest = thermal_series_divergence(1.0, 0.8, alpha)
+    assert math.isclose(report.divergence, coherent_thermal_divergence(0.0, 1.2, alpha) + rest,
+                        rel_tol=1e-12)
+    dropped = -math.log1p(-math.exp(-alpha * (33.0 + 1.2 * (1.0 - alpha) / alpha)))
+    mixed = thermal_series_divergence(33.0, 1.2, alpha) + rest
+    assert math.isclose(report.divergence - mixed, dropped / (1.0 - alpha), rel_tol=1e-6)
+    report = sandwiched_renyi(thermal_state([32.0, 1.0]), thermal_state([1.2, 0.8]), alpha)
+    assert np.isfinite(report.t_Z).all()
 
 
 def test_repeated_sweep_faults_in_no_pages(rng):

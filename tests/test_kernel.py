@@ -23,7 +23,7 @@ LN2 = math.log(2.0)
 
 def test_vacuum_quadruple():
     k = state_to_kernel(coherent_state(0.0))
-    assert np.isclose(k.c, 1.0, atol=1e-14)
+    assert np.isclose(k.log_c, 0.0, atol=1e-14)
     assert np.allclose(k.mu, 0.0)
     assert np.allclose(k.A, 0.0)
     assert np.allclose(k.lam, 0.0)
@@ -33,7 +33,7 @@ def test_vacuum_quadruple():
 def test_thermal_quadruple(t):
     # thermal kernel: c = 1 - e^-t, lam = e^-t, A = mu = 0
     k = state_to_kernel(thermal_state(t))
-    assert np.isclose(k.c, 1.0 - math.exp(-t), atol=1e-13)
+    assert np.isclose(k.log_c, math.log1p(-math.exp(-t)), atol=1e-13)
     assert np.allclose(k.lam, math.exp(-t) * np.eye(1), atol=1e-13)
     assert np.allclose(k.A, 0.0, atol=1e-14)
     assert np.allclose(k.mu, 0.0)
@@ -42,7 +42,7 @@ def test_thermal_quadruple(t):
 @pytest.mark.parametrize("gamma", [1.0, 0.6 - 0.8j, -1.3 + 0.4j])
 def test_coherent_quadruple(gamma):
     k = state_to_kernel(coherent_state(gamma))
-    assert np.isclose(k.c, math.exp(-abs(gamma) ** 2), atol=1e-13)
+    assert np.isclose(k.log_c, -abs(gamma) ** 2, atol=1e-13)
     assert np.allclose(k.mu, [gamma], atol=1e-13)
     assert np.allclose(k.A, 0.0, atol=1e-14)
     assert np.allclose(k.lam, 0.0, atol=1e-14)
@@ -52,7 +52,7 @@ def test_coherent_quadruple(gamma):
 def test_squeezed_quadruple(r):
     # pure squeezed vacuum: c = sech r, A = -tanh(r)/2, lam = 0
     k = state_to_kernel(squeezed_vacuum(r))
-    assert np.isclose(k.c, 1.0 / math.cosh(r), atol=1e-13)
+    assert np.isclose(k.log_c, -math.log(math.cosh(r)), atol=1e-13)
     assert np.allclose(k.A, [[-0.5 * math.tanh(r)]], atol=1e-13)
     assert np.allclose(k.lam, 0.0, atol=1e-12)
     assert np.allclose(k.mu, 0.0)
@@ -93,7 +93,7 @@ def test_contraction_identity_and_collapse(rng):
     assert np.allclose(same.lam, k.lam)
     # k = 0 projects onto the vacuum: Tr Gamma(0) Z Gamma(0) = c
     collapsed = apply_contraction(k, np.array([0.0]))
-    assert np.isclose(log_kernel_trace(collapsed), math.log(k.c), atol=1e-12)
+    assert np.isclose(log_kernel_trace(collapsed), k.log_c, atol=1e-12)
 
 
 @pytest.mark.parametrize("t,kval", [(0.8, 0.6), (LN2, 0.9), (2.0, 0.25)])
@@ -124,14 +124,14 @@ def test_contraction_rejects_non_finite_entries():
 
 def test_not_trace_class_guard():
     # lam = I makes the form matrix singular: the operator has no trace
-    bad = CoherentKernel(c=1.0, mu=np.zeros(1), A=np.zeros((1, 1)),
+    bad = CoherentKernel(log_c=0.0, mu=np.zeros(1), A=np.zeros((1, 1)),
                          lam=np.eye(1))
     with pytest.raises(NotTraceClassError):
         log_kernel_trace(bad)
 
 
 def test_kernel_to_state_rejects_non_normalizable():
-    bad = CoherentKernel(c=1.0, mu=np.zeros(1), A=0.6 * np.ones((1, 1)),
+    bad = CoherentKernel(log_c=0.0, mu=np.zeros(1), A=0.6 * np.ones((1, 1)),
                          lam=np.zeros((1, 1)))
     with pytest.raises(UnphysicalStateError):
         kernel_to_state(bad)
@@ -139,13 +139,13 @@ def test_kernel_to_state_rejects_non_normalizable():
 
 def test_quadruple_validation():
     with pytest.raises(ValueError):
-        CoherentKernel(c=-1.0, mu=np.zeros(1), A=np.zeros((1, 1)),
+        CoherentKernel(log_c=math.nan, mu=np.zeros(1), A=np.zeros((1, 1)),
                        lam=np.zeros((1, 1)))
     with pytest.raises(ValueError):
-        CoherentKernel(c=1.0, mu=np.zeros(2), A=np.array([[0.0, 0.2], [0.0, 0.0]]),
+        CoherentKernel(log_c=0.0, mu=np.zeros(2), A=np.array([[0.0, 0.2], [0.0, 0.0]]),
                        lam=np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        CoherentKernel(c=1.0, mu=np.zeros(1), A=np.zeros((1, 1)),
+        CoherentKernel(log_c=0.0, mu=np.zeros(1), A=np.zeros((1, 1)),
                        lam=-0.5 * np.eye(1))
 
 
@@ -154,7 +154,7 @@ def test_quadruple_rejects_nan(field):
     fields = {"mu": np.zeros(1), "A": np.zeros((1, 1)), "lam": 0.2 * np.eye(1)}
     fields[field] = np.full_like(fields[field], np.nan)
     with pytest.raises(ValueError, match=f"kernel {field} has non-finite entries"):
-        CoherentKernel(c=1.0, **fields)
+        CoherentKernel(log_c=0.0, **fields)
 
 
 def test_trace_invariant_under_phase_rotation(rng):
@@ -173,8 +173,8 @@ def test_evaluate_kernel_matches_manual(rng):
     k = state_to_kernel(state)
     u = np.array([0.2 - 0.1j, 0.05 + 0.12j])
     v = np.array([-0.15 + 0.2j, 0.1])
-    manual = k.c * np.exp(k.mu.conj() @ u + k.mu @ v + u @ k.A @ u
-                          + u @ k.lam @ v + v @ k.A.conj() @ v)
+    manual = np.exp(k.log_c + k.mu.conj() @ u + k.mu @ v + u @ k.A @ u
+                    + u @ k.lam @ v + v @ k.A.conj() @ v)
     assert np.isclose(evaluate_kernel(k, u, v), manual, rtol=1e-14)
 
 
@@ -206,7 +206,7 @@ def independent_log_trace(kernel) -> float:
     b = np.concatenate([kernel.mu.real, -kernel.mu.imag])
     sign, logdet = np.linalg.slogdet(M)
     assert sign > 0
-    return math.log(kernel.c) - 0.5 * logdet + float(b @ np.linalg.solve(M, b))
+    return kernel.log_c - 0.5 * logdet + float(b @ np.linalg.solve(M, b))
 
 
 def test_bordered_trace_matches_slogdet_and_solve(rng):
@@ -227,7 +227,7 @@ def test_bordered_trace_of_large_displacement():
     # b . M^{-1} b = 676 cancel to Tr = 1
     rho_prime, s, _ = reduce_to_thermal(coherent_state(26.0), thermal_state(1.0))
     kernel = state_to_kernel(rho_prime)
-    assert math.isclose(log_kernel_trace(kernel) - math.log(kernel.c), 676.0, rel_tol=1e-14)
+    assert math.isclose(log_kernel_trace(kernel) - kernel.log_c, 676.0, rel_tol=1e-14)
     assert abs(log_kernel_trace(kernel)) < 1e-12
     for alpha in (0.3, 0.5, 0.9):
         z = apply_contraction(kernel, fractional_power_contraction(s, alpha))
@@ -237,14 +237,14 @@ def test_bordered_trace_of_large_displacement():
         exact = analytic_coherent_thermal(26.0, 1.0, alpha)
         assert abs(report.divergence - exact) <= 1e-12 * exact
     # far beyond any state's kernel, the border still leaves a positive pivot
-    huge = CoherentKernel(c=1.0, mu=np.array([1e3, 2e3j]), A=np.zeros((2, 2)),
+    huge = CoherentKernel(log_c=0.0, mu=np.array([1e3, 2e3j]), A=np.zeros((2, 2)),
                           lam=np.zeros((2, 2)))
     assert math.isclose(log_kernel_trace(huge), 5e6, rel_tol=1e-15)
 
 
 def test_bordered_trace_rejects_indefinite_form_matrix():
     # one mode of lam above 1 makes M indefinite whatever the border holds
-    bad = CoherentKernel(c=1.0, mu=np.array([0.3 + 0.2j, -1.0]), A=np.zeros((2, 2)),
+    bad = CoherentKernel(log_c=0.0, mu=np.array([0.3 + 0.2j, -1.0]), A=np.zeros((2, 2)),
                          lam=np.diag([0.2, 1.5]))
     with pytest.raises(NotTraceClassError, match="form matrix not positive definite"):
         log_kernel_trace(bad)
