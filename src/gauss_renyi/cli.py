@@ -8,10 +8,12 @@ Subcommands
   verify      built-in closed-form vs oracle cross-check suite
 
 State files are positional: RHO SIGMA for entropy and sweep, STATE for
-williamson and convert.  Every reported number is printed at 12 significant
-digits (verify's table prints differences and tolerances in short exponent
-form) and infinities appear as the string "inf".  Exit status: 0 success; 2 domain errors (unphysical or
-non-faithful states, mode mismatches, orders outside (0,1), bad suite
+williamson and convert.  A divergence report prints alpha as given and
+T_alpha in full; every other number is printed at 12 significant digits
+and infinities appear as the string "inf".  Tables print each value as the
+text its JSON holds (verify's table prints differences and tolerances in
+short exponent form).  Exit status: 0 success; 2 domain errors (unphysical
+or non-faithful states, mode mismatches, orders outside (0,1), bad suite
 selections); 1 I/O problems, malformed state files, or verify-suite failures.
 """
 
@@ -24,7 +26,7 @@ from dataclasses import asdict
 from .entropy import EntropyReport, sandwiched_renyi, sandwiched_renyi_sweep
 from .exceptions import GaussRenyiError, StateFileError
 from .kernel import kernel_to_state, state_to_kernel
-from .statefile import json_number, load_state, round12, state_to_json
+from .statefile import json_number, load_state, state_to_json
 from .states import require_physical
 from .verify import GROUPS, run_suite, suite_passed
 from .williamson import williamson_decompose
@@ -32,40 +34,16 @@ from .williamson import williamson_decompose
 _LABEL_WIDTH = 12
 
 
-def _fmt(value) -> str:
-    """A number, or a JSON payload's "inf"/"-inf", at 12 significant digits."""
-    value = float(value)
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return f"{round12(value):.12g}"
-
-
-def _fmt_vec(values) -> str:
-    return ", ".join(_fmt(v) for v in values)
-
-
 def _pair(z: complex) -> list:
     return [json_number(z.real), json_number(z.imag)]
 
 
 def _report_payload(report: EntropyReport) -> dict:
-    """EntropyReport as a JSON-ready dict, rounded to the printed precision.
-
-    The divergence is recomputed from the rounded T_alpha and alpha so that
-    parsing the report and redoing ln(T_alpha)/(alpha-1) reproduces the
-    printed divergence exactly.
-    """
-    alpha = round12(report.alpha)
-    t_alpha = round12(report.T_alpha)
-    if t_alpha > 0.0 and math.isfinite(t_alpha):
-        divergence = round12(math.log(t_alpha) / (alpha - 1.0))
-    else:
-        # T_alpha underflowed; fall back on the log-domain value
-        divergence = round12(report.divergence)
+    """EntropyReport as a JSON dict: alpha as given, T_alpha in full, the rest at 12 digits."""
     return {
-        "alpha": alpha,
-        "divergence": divergence,
-        "T_alpha": t_alpha,
+        "alpha": report.alpha,
+        "divergence": json_number(report.divergence),
+        "T_alpha": report.T_alpha,
         "trace_Z": json_number(report.trace_Z),
         "s": [json_number(x) for x in report.s],
         "t_Z": [json_number(x) for x in report.t_Z],
@@ -75,13 +53,26 @@ def _report_payload(report: EntropyReport) -> dict:
     }
 
 
-def _print_key_values(payload: dict) -> None:
+def _text(value) -> str:
+    """A payload value as the text its JSON holds, unquoted and without outer brackets."""
+    if isinstance(value, list):
+        return ", ".join(f"[{_text(v)}]" if isinstance(v, list) else _text(v) for v in value)
+    return str(value)
+
+
+def _print_key_values(payload: dict, indent: str = "") -> None:
+    """One line per key; a list of lists prints one row per line and a nested
+    payload its own keys, each indented under the key."""
     for key, value in payload.items():
-        if isinstance(value, list):
-            text = ", ".join(str(v) for v in value)
+        if isinstance(value, dict):
+            print(indent + key)
+            _print_key_values(value, indent + "  ")
+        elif isinstance(value, list) and value and isinstance(value[0], list):
+            print(indent + key)
+            for row in value:
+                print(f"{indent}  {_text(row)}")
         else:
-            text = str(value)
-        print(f"{key:<{_LABEL_WIDTH}} {text}")
+            print(f"{indent}{key:<{_LABEL_WIDTH}} {_text(value)}")
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -92,8 +83,8 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def cmd_entropy(args) -> int:
-    report = sandwiched_renyi(load_state(args.rho), load_state(args.sigma), args.alpha)
-    _emit(_report_payload(report), args.format)
+    _emit(_report_payload(sandwiched_renyi(load_state(args.rho), load_state(args.sigma),
+                                           args.alpha)), args.format)
     return 0
 
 
@@ -107,28 +98,19 @@ def cmd_sweep(args) -> int:
         columns = ("alpha", "divergence", "T_alpha", "trace_Z")
         print(" ".join(f"{c:>18s}" for c in columns))
         for p in payloads:
-            print(" ".join(f"{_fmt(p[c]):>18s}" for c in columns))
+            print(" ".join(f"{_text(p[c]):>18s}" for c in columns))
     return 0
 
 
 def cmd_williamson(args) -> int:
     state = load_state(args.state)
     form = require_physical(state, "state", williamson_decompose)
-    payload = {
+    _emit({
         "n": state.n,
         "d": [json_number(x) for x in form.d],
         "t": [json_number(x) for x in form.t],
         "L": [[json_number(x) for x in row] for row in form.L],
-    }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"{'n':<{_LABEL_WIDTH}} {payload['n']}")
-        print(f"{'d':<{_LABEL_WIDTH}} {_fmt_vec(form.d)}")
-        print(f"{'t':<{_LABEL_WIDTH}} {_fmt_vec(form.t)}")
-        print("L")
-        for row in form.L:
-            print("  " + "  ".join(f"{_fmt(x):>18s}" for x in row))
+    }, args.format)
     return 0
 
 
@@ -136,28 +118,15 @@ def cmd_convert(args) -> int:
     state = load_state(args.state)
     require_physical(state, "state")
     kernel = state_to_kernel(state)
-    back = kernel_to_state(kernel)
-    payload = {
+    _emit({
         "n": state.n,
         "c": json_number(math.exp(kernel.log_c)),
         "ln_c": json_number(kernel.log_c),
         "mu": [_pair(z) for z in kernel.mu],
         "A": [[_pair(z) for z in row] for row in kernel.A],
         "Lambda": [[_pair(z) for z in row] for row in kernel.lam],
-        "state_roundtrip": state_to_json(back),
-    }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"{'n':<{_LABEL_WIDTH}} {payload['n']}")
-        for key in ("c", "ln_c"):
-            print(f"{key:<{_LABEL_WIDTH}} {_fmt(payload[key])}")
-        print(f"{'mu':<{_LABEL_WIDTH}} " +
-              ", ".join(f"[{_fmt(z.real)}, {_fmt(z.imag)}]" for z in kernel.mu))
-        for label, mat in (("A", kernel.A), ("Lambda", kernel.lam)):
-            print(label)
-            for row in mat:
-                print("  " + "  ".join(f"[{_fmt(z.real)}, {_fmt(z.imag)}]" for z in row))
+        "state_roundtrip": state_to_json(kernel_to_state(kernel)),
+    }, args.format)
     return 0
 
 
@@ -189,13 +158,6 @@ def cmd_verify(args) -> int:
     return 0 if suite_passed(rows) else 1
 
 
-def _alpha_value(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-
-
 def _alpha_grid(text: str) -> list:
     try:
         values = [float(piece) for piece in text.split(",") if piece.strip()]
@@ -224,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("entropy", help="compute one divergence")
-    sub.add_argument("--alpha", type=_alpha_value, required=True,
+    sub.add_argument("--alpha", type=float, required=True,
                      help="Renyi order in (0,1)")
     _add_pair_arguments(sub)
     _add_format_argument(sub)
@@ -266,10 +228,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StateFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (StateFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except GaussRenyiError as exc:

@@ -233,7 +233,8 @@ def state_to_kernel(state: GaussianState) -> CoherentKernel:
 
     m = state.mean_complex()
     mu = m - 2.0 * A.conj() @ m.conj() - lam.conj() @ m
-    quad = float((-m.conj() @ m + 2.0 * (m @ A @ m) + m @ lam @ m.conj()).real)
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = float((-m.conj() @ m + 2.0 * (m @ A @ m) + m @ lam @ m.conj()).real)
     if not np.isfinite(quad):  # |m|^2 overflows from |m| = 1.3e154
         raise NotTraceClassError(f"not trace class: {_PAST_BORDER}")
     return _set_fields(object.__new__(CoherentKernel), -0.5 * logdet + quad, mu, A, lam)

@@ -143,8 +143,9 @@ def load_state(path) -> GaussianState:
 def round12(value: float) -> float:
     """Round to 12 significant digits.
 
-    All CLI numbers go through this before printing or JSON encoding, so
-    re-parsing CLI output reproduces the printed values bit for bit.
+    CLI numbers go through this (by json_number) before printing or JSON
+    encoding, except a divergence report's alpha, printed as given, and its
+    T_alpha, printed in full.
     """
     return float(f"{value:.12g}")
 

@@ -78,6 +78,11 @@ class _Case(NamedTuple):
     tol: float | None = None
 
 
+def _log1mexp(x: float) -> float:
+    """ln(1 - e^-x) for x > 0, to full relative precision on both sides of ln 2."""
+    return math.log(-math.expm1(-x)) if x < LN2 else math.log1p(-math.exp(-x))
+
+
 def thermal_series_divergence(t: float, s: float, alpha: float) -> float:
     """Divergence of two single-mode thermal states by direct summation.
 
@@ -93,8 +98,7 @@ def thermal_series_divergence(t: float, s: float, alpha: float) -> float:
         term *= q
         if term < 1e-300:
             break
-    ln_t_alpha = ((1.0 - alpha) * math.log1p(-math.exp(-s))
-                  + alpha * math.log1p(-math.exp(-t)) + math.log(total))
+    ln_t_alpha = (1.0 - alpha) * _log1mexp(s) + alpha * _log1mexp(t) + math.log(total)
     return ln_t_alpha / (alpha - 1.0)
 
 
@@ -106,7 +110,7 @@ def coherent_thermal_divergence(gamma: complex, s: float, alpha: float) -> float
     D = -ln(1 - e^-s) + alpha |gamma|^2 (1 - e^(-s(1-alpha)/alpha)) / (1-alpha).
     """
     shrink = -math.expm1(-s * (1.0 - alpha) / alpha)
-    return -math.log1p(-math.exp(-s)) + alpha * abs(gamma) ** 2 * shrink / (1.0 - alpha)
+    return -_log1mexp(s) + alpha * abs(gamma) ** 2 * shrink / (1.0 - alpha)
 
 
 def _divergence(rho, sigma, alpha: float) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 from .exceptions import DecompositionError
 from .states import PURE_TOL, SYMPLECTIC_TOL, require_heisenberg, symplectic_form
 
-#: residue allowed in L^T S L - D
+#: residue allowed in L^T S L - D, relative to max(1, d_max)
 DIAG_TOL = 1e-8
 
 
@@ -130,8 +130,8 @@ def williamson_decompose(S: np.ndarray) -> WilliamsonForm:
     The congruence matrix is read off the eigenvectors of the hermitian
     i R^T J R, with S = R R^T (see _spectrum), so degenerate symplectic
     eigenvalues need no special handling.  Raises DecompositionError if S
-    is not positive definite or the symplectic or diagonalization residues
-    exceed tolerance, and UnphysicalStateError below the Heisenberg bound.
+    is not positive definite or the symplectic or (relative)
+    diagonalization residues exceed tolerance, and UnphysicalStateError below the Heisenberg bound.
     """
     S = _check_symmetric(S)
     n = S.shape[0] // 2
@@ -145,7 +145,8 @@ def williamson_decompose(S: np.ndarray) -> WilliamsonForm:
             f"symplectic residue {res_j:.3e} > {SYMPLECTIC_TOL:.0e}; "
             "degenerate eigenvalue cluster could not be resolved")
     D = np.diag(np.concatenate([d, d]))
-    res_d = float(abs(L.T @ S @ L - D).max())
+    # rounding in L^T S L grows with the matrix's scale, d_max = d[0]
+    res_d = float(abs(L.T @ S @ L - D).max()) / max(1.0, float(d[0]))
     if res_d > DIAG_TOL:
         raise DecompositionError(f"diagonalization residue {res_d:.3e} > {DIAG_TOL:.0e}")
 

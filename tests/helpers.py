@@ -10,6 +10,14 @@ import math
 import numpy as np
 
 
+def log1mexp(x: float) -> float:
+    """ln(1 - e^-x) for x > 0: expm1 keeps the digits of a hot state (x << 1),
+    log1p those of a cold one; the two meet at ln 2."""
+    if x < math.log(2.0):
+        return math.log(-math.expm1(-x))
+    return math.log1p(-math.exp(-x))
+
+
 def series_thermal_divergence(t: float, s: float, alpha: float) -> float:
     """Single-mode thermal-vs-thermal divergence by direct series summation.
 
@@ -18,15 +26,15 @@ def series_thermal_divergence(t: float, s: float, alpha: float) -> float:
     c = (1-alpha)/(2 alpha); each is raised to alpha and summed term by term.
     """
     c = (1.0 - alpha) / (2.0 * alpha)
-    weight = (1.0 - math.exp(-s)) ** (2.0 * c) * (1.0 - math.exp(-t))
+    ln_weight = 2.0 * c * log1mexp(s) + log1mexp(t)
     decay = t + 2.0 * c * s
     total = 0.0
     for k in range(200000):
-        term = (weight * math.exp(-decay * k)) ** alpha
+        term = math.exp(-alpha * decay * k)
         total += term
         if term < total * 1e-19:
             break
-    return math.log(total) / (alpha - 1.0)
+    return (alpha * ln_weight + math.log(total)) / (alpha - 1.0)
 
 
 def analytic_coherent_thermal(gamma: complex, s: float, alpha: float) -> float:
@@ -34,9 +42,8 @@ def analytic_coherent_thermal(gamma: complex, s: float, alpha: float) -> float:
 
     D = -ln(1 - e^-s) + alpha/(1-alpha) |gamma|^2 (1 - e^(-s(1-alpha)/alpha)).
     """
-    p_s = 1.0 - math.exp(-s)
-    shrink = 1.0 - math.exp(-s * (1.0 - alpha) / alpha)
-    return -math.log(p_s) + alpha / (1.0 - alpha) * abs(gamma) ** 2 * shrink
+    shrink = -math.expm1(-s * (1.0 - alpha) / alpha)
+    return -log1mexp(s) + alpha / (1.0 - alpha) * abs(gamma) ** 2 * shrink
 
 
 def omega(n: int) -> np.ndarray:

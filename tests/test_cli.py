@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from helpers import analytic_coherent_thermal
-from gauss_renyi import verify
-from gauss_renyi.cli import _fmt, main
+from gauss_renyi import sandwiched_renyi, thermal_state, verify
+from gauss_renyi.cli import _text, main
+from gauss_renyi.statefile import json_number
 
 LN2 = math.log(2.0)
 
@@ -147,8 +148,64 @@ def test_sweep_table_prints_json_values_at_12_digits(states, capsys):
     assert columns == ["alpha", "divergence", "T_alpha", "trace_Z"]
     results = json.loads(out)["results"]
     assert [line.split() for line in lines] == [
-        [_fmt(r[c]) for c in columns] for r in results]
+        [_text(r[c]) for c in columns] for r in results]
     assert lines[0].split()[0] == "0.123456789"
+
+
+@pytest.mark.parametrize("alpha", ["0.9", "0.99", "0.999", "0.999999", "0.9999999999",
+                                   "0.9999999999999"])
+def test_report_prints_the_api_divergence_and_the_given_alpha(capsys, tmp_path, alpha):
+    # a divergence re-derived from 12-digit alpha and T_alpha would miss by
+    # about 5e-13 / (1 - alpha), and 1 - 1e-13 rounds to alpha = 1
+    rho = write(tmp_path, "rho.json", {"thermal": [0.3]})
+    sigma = write(tmp_path, "sigma.json", {"thermal": [2.0]})
+    expected = json_number(sandwiched_renyi(thermal_state(0.3), thermal_state(2.0),
+                                            float(alpha)).divergence)
+    for argv in (["entropy", "--alpha", alpha], ["sweep", "--alphas", alpha]):
+        code, out, err = run(capsys, argv + [rho, sigma, "--format", "json"])
+        assert code == 0, err
+        payload = json.loads(out)
+        report = payload["results"][0] if argv[0] == "sweep" else payload
+        assert report["alpha"] == float(alpha)
+        assert report["divergence"] == expected
+        if float(alpha) <= 0.99:  # T_alpha in full fixes the divergence
+            assert math.isclose(math.log(report["T_alpha"]) / (report["alpha"] - 1.0),
+                                report["divergence"], rel_tol=1e-11)
+
+
+def test_underflowed_t_alpha_prints_the_log_domain_divergence(capsys, tmp_path):
+    far = write(tmp_path, "far.json", {"coherent": [[60.0, 0.0]]})
+    sigma = write(tmp_path, "sigma.json", {"thermal": [1.0]})
+    code, out, _ = run(capsys, ["entropy", "--alpha", "0.5", far, sigma, "--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["T_alpha"] == 0.0
+    assert report["divergence"] == 2276.09268693
+    assert report["divergence"] == json_number(analytic_coherent_thermal(60.0, 1.0, 0.5))
+
+
+@pytest.mark.parametrize("command,state", [("williamson", "rho"), ("convert", "coherent"),
+                                           ("convert", "rho")])
+def test_table_shows_every_json_key_as_its_json_text(states, capsys, command, state):
+    code, table, _ = run(capsys, [command, states[state]])
+    assert code == 0
+    code, out, _ = run(capsys, [command, states[state], "--format", "json"])
+    assert code == 0
+    lines = table.splitlines()
+
+    def shown(payload, indent):
+        for key, value in payload.items():
+            row = next(k for k, line in enumerate(lines)
+                       if line.startswith(indent + key + " ") or line == indent + key)
+            if isinstance(value, dict):
+                shown(value, indent + "  ")
+            elif isinstance(value, list) and isinstance(value[0], list):
+                assert lines[row + 1:row + 1 + len(value)] == [
+                    f"{indent}  {_text(v)}" for v in value]
+            else:
+                assert lines[row].split(None, 1)[1] == _text(value)
+
+    shown(json.loads(out), "")
 
 
 def test_williamson_vacuum(states, capsys):

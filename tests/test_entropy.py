@@ -337,13 +337,14 @@ def test_large_displacement_is_a_domain_error():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NotTraceClassError, match=r"squared displacement, is past 1e\+300"):
             sandwiched_renyi(coherent_state(1e151), thermal_state(1.0), 0.5)
-    # from |gamma| = 1.3e154 |gamma|^2 overflows a double (with a RuntimeWarning
-    # of its own): at alpha = 0.01 the contraction keeps b . M^{-1} b below the
-    # border, so only ln c = -inf shows it
+    # from |gamma| = 1.3e154 |gamma|^2 overflows a double, and the kernel's
+    # ln c check raises without a RuntimeWarning; at alpha = 0.01 the
+    # contraction would keep b . M^{-1} b below the border
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(NotTraceClassError, match=r"past 1e\+300"):
-            sandwiched_renyi(coherent_state(1e155), thermal_state(1.0), 0.01)
+        warnings.simplefilter("error", RuntimeWarning)
+        for alpha in (0.5, 0.01):
+            with pytest.raises(NotTraceClassError, match=r"past 1e\+300"):
+                sandwiched_renyi(coherent_state(1e155), thermal_state(1.0), alpha)
 
 
 @pytest.mark.parametrize("s", [0.3, 1.0, 3.0])
@@ -356,6 +357,46 @@ def test_large_displacement_matches_closed_form(gamma, s):
     for report in reports:
         exact = analytic_coherent_thermal(gamma, s, report.alpha)
         assert abs(report.divergence - exact) <= 1e-12 * exact, report.alpha
+
+
+#: 50-digit mpmath values at alpha = 0.5 of coherent 0.5 and thermal 0.3
+#: against hot references thermal_state(s), whose d = coth(s/2)/2 reaches 1e12
+HOT_SIGMA = {2e-8: (17.727533578392420075, 15.135393988581744451),
+             1e-9: (20.723265837696411094, 18.131126135231662193),
+             1e-12: (27.631021115929298228, 25.038881407541316519)}
+
+
+@pytest.mark.parametrize("s", sorted(HOT_SIGMA))
+def test_hot_sigma_matches_mpmath(s):
+    # Williamson's residue scales with d_max, so a hot sigma is not rejected
+    # on rounding alone
+    for rho, exact in zip((coherent_state(0.5), thermal_state(0.3)), HOT_SIGMA[s]):
+        value = sandwiched_renyi(rho, thermal_state(s), 0.5).divergence
+        assert abs(value - exact) <= 1e-15 * exact
+
+
+#: 50-digit mpmath values at alpha = 0.5 of rho = diag(d, d) against thermal 1.0
+HOT_RHO = {1e11: 23.921606909207622212, 1e12: 26.22419200218329445,
+           1e13: 28.526777095175502789}
+
+
+@pytest.mark.parametrize("d", sorted(HOT_RHO))
+def test_hot_rho_oracles_and_pipeline_match_mpmath(d):
+    # ln(1 - e^-t) at t ~ 1/d keeps its digits only as log(-expm1(-t))
+    exact, t = HOT_RHO[d], math.log1p(1.0 / (d - 0.5))
+    rho = GaussianState(np.zeros(2), d * np.eye(2))
+    for value in (thermal_series_divergence(t, 1.0, 0.5),
+                  series_thermal_divergence(t, 1.0, 0.5),
+                  sandwiched_renyi(rho, thermal_state(1.0), 0.5).divergence):
+        assert abs(value - exact) <= 1e-15 * exact
+
+
+def test_coherent_oracles_match_mpmath_against_hot_sigma():
+    exact = 13.815511307964107483  # 50-digit mpmath, gamma = 0.5, s = 1e-6
+    for value in (coherent_thermal_divergence(0.5, 1e-6, 0.5),
+                  analytic_coherent_thermal(0.5, 1e-6, 0.5),
+                  sandwiched_renyi(coherent_state(0.5), thermal_state(1e-6), 0.5).divergence):
+        assert abs(value - exact) <= 1e-15 * exact
 
 
 def test_displacement_limit_is_not_per_mode():

@@ -86,6 +86,14 @@ def test_ill_conditioned_residues():
     assert np.allclose(form.d, t_to_d(np.array([0.5, 1.0, 2.0])), atol=1e-10)
 
 
+@pytest.mark.parametrize("t", [2e-8, 1e-9, 1e-12])
+def test_hot_state_residue_is_relative(t):
+    # d = coth(t/2)/2 up to 1e12: L^T S L rounds at about eps d, above 1e-8
+    # from d ~ 1e8, so the residue is taken relative to d_max
+    form = williamson_decompose(thermal_state(t).cov)
+    assert np.allclose(form.d, t_to_d(t), rtol=1e-15)
+
+
 def test_degenerate_spectrum(rng):
     base = thermal_state([0.9, 0.9])
     L = random_symplectic(rng, 2)
