@@ -1,7 +1,8 @@
 """Keep freed NumPy temporaries in the process heap under glibc.
 
 The per-order stage allocates and frees several hundred KiB of temporaries
-per stack of orders (the stacked form matrices are up to 256 KiB each).
+per stack of orders (a stack's real form matrices take about 260 KiB up to
+n = 64, and one order's 512 KiB at n = 128).
 With glibc's default malloc settings, blocks from 128 KiB up are mapped and
 unmapped one by one, and the free top of the heap goes back to the kernel
 once it exceeds the trim threshold (128 KiB, raised to twice the largest

@@ -20,7 +20,11 @@ t_Z, and the t_Z stage is skipped.
 The reduction runs once per call.  The per-order stage (contraction, trace,
 t_Z and assembly) runs once per stack of orders: every formula takes a
 leading order axis, and its factorizations are numpy.linalg's stacked
-routines.  A single order is the stack of one.
+routines.  A single order is the stack of one.  A stack of contractions
+gets its form-matrix factor by scaling the real bordered base of rho's
+kernel, built once per call (kernel.ContractedKernel): the contraction and
+the trace form no complex per-order matrix, and the t_Z stage forms
+K Lambda K only for the orders of its pair-free branch.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ import numpy as np
 from .exceptions import AlphaRangeError, ModeMismatchError, NotFaithfulError
 # kernel_to_state is not called here, but stays bound: perfbench's tracer
 # wraps every stage name of the pipeline in this module
-from .kernel import (CoherentKernel, apply_contraction, form_inverse,  # noqa: F401
-                     kernel_to_state, log_kernel_trace, state_to_kernel)
+from .kernel import (CoherentKernel, ContractedKernel, apply_contraction,  # noqa: F401
+                     form_inverse, kernel_to_state, log_kernel_trace, state_to_kernel)
 from .states import (PURE_FRAME, PURE_NOISE, PURE_TOL, GaussianState,
                      gaussian_transform, require_physical)
 from .williamson import symplectic_eigenvalues, williamson_decompose, d_to_t
@@ -47,9 +51,10 @@ LAMBDA_GATE = 0.5
 #: covariance-path spectral gaps above 1/2 below this are eigensolver noise
 COV_GAP_FLOOR = 1e-13
 #: entries of the 2n x 2n form matrices stacked per pass of the per-order
-#: stage, which bounds a sweep's memory: every order of a 64-order sweep at
-#: n <= 8, 4 orders at n = 32, one at a time from n = 64
-_STACK_ENTRIES = 16384
+#: stage, which bounds a sweep's memory (a real stack of 256 KiB): every order
+#: of a 64-order sweep at n <= 8, 8 orders at n = 32, 2 at n = 64, one at a
+#: time from n = 128
+_STACK_ENTRIES = 32768
 
 
 def log_thermal_norm(t):
@@ -75,11 +80,17 @@ def fractional_power_contraction(s, alpha) -> np.ndarray:
     fractional power of a thermal state with parameters s, up to the scalar
     prefactor p(s)^((1-alpha)/(2 alpha)).
     """
-    alpha = _check_alphas(alpha)[..., None]
+    alpha = _check_alphas(alpha)
     s = np.asarray(s, dtype=float)
     if not np.isfinite(s).all():
         raise NotFaithfulError("fractional powers need finite thermal parameters "
                                "(sigma must be faithful)")
+    return _contraction(s, alpha)
+
+
+def _contraction(s: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """fractional_power_contraction of parameters and orders already checked."""
+    alpha = alpha[..., None]
     return np.exp(-s * (1.0 - alpha) / (2.0 * alpha))
 
 
@@ -131,7 +142,7 @@ class EntropyReport:
     p_alpha_tZ: float
 
 
-def _contracted_thermal_parameters(z: CoherentKernel) -> np.ndarray:
+def _contracted_thermal_parameters(z: ContractedKernel) -> np.ndarray:
     """Thermal parameters t_Z of each contracted sandwich of a stack, ascending.
 
     The final assembly needs alpha * t_Z, so t_Z must stay accurate even
@@ -141,25 +152,32 @@ def _contracted_thermal_parameters(z: CoherentKernel) -> np.ndarray:
     hermitian Lambda the 2-norm is its largest eigenvalue modulus, so one
     stacked eigvalsh gives both; max_j Lambda_jj <= lambda_max screens out,
     before any eigensolve, the orders whose norm must exceed the gate.  The
-    other orders fall back on the symplectic spectrum of the covariance,
-    whose gap above 1/2 resolves e^(-t_Z) only down to the eigensolver noise
-    floor.  It is taken of M^{-1} - I/2 = J S J^T, which has the spectrum of
-    the covariance S without its J-congruence, and M^{-1} comes from the
-    form-matrix Cholesky factor that log_kernel_trace has taken.
+    screen reads max k_i k_j |A'_ij| and k_j^2 Lambda'_jj off the parent
+    kernel (A', Lambda'), and K Lambda' K is formed only for the orders that
+    pass it.  The other orders fall back on the symplectic spectrum of the
+    covariance, whose gap above 1/2 resolves e^(-t_Z) only down to the
+    eigensolver noise floor.  It is taken of M^{-1} - I/2 = J S J^T, which
+    has the spectrum of the covariance S without its J-congruence, and
+    M^{-1} comes from the form-matrix Cholesky factor that log_kernel_trace
+    has taken.  That matrix is handed on unnamed, so the spectrum's stage
+    frees it once it has its symmetrized copy.
     """
-    t = np.empty(z.mu.shape)
-    free = ((abs(z.A).max(axis=(-2, -1)) <= PAIR_FREE_GATE)
-            & (z.lam.diagonal(0, -2, -1).real.max(axis=-1) <= LAMBDA_GATE))
+    k, parent = z.k, z.parent
+    t = np.empty(k.shape)
+    outer = k[:, :, None] * k[:, None, :]
+    free = (((outer * abs(parent.A)).max(axis=(-2, -1)) <= PAIR_FREE_GATE)
+            & ((outer.diagonal(0, -2, -1) * parent.lam.diagonal().real).max(axis=-1)
+               <= LAMBDA_GATE))
     if free.any():
-        lam = np.linalg.eigvalsh(z.lam[free])
+        lam = np.linalg.eigvalsh(outer[free] * parent.lam)
         inside = abs(lam).max(axis=-1) <= LAMBDA_GATE  # ||Lambda||_2 <= LAMBDA_GATE
         free[free] = inside
         lam = lam[inside]
         t[free] = np.where(lam > 0.0, -np.log(np.where(lam > 0.0, lam, 1.0)), np.inf)
+    del outer  # the fallback below holds the stage's largest arrays
     if not free.all():
-        turned = form_inverse(z, ~free)
-        turned -= 0.5 * np.eye(turned.shape[-1])
-        t[~free] = d_to_t(symplectic_eigenvalues(turned), pure_tol=COV_GAP_FLOOR)
+        d = symplectic_eigenvalues(form_inverse(z, ~free) - 0.5 * np.eye(2 * k.shape[-1]))
+        t[~free] = d_to_t(d, pure_tol=COV_GAP_FLOOR)
     t.sort(axis=-1)
     return t
 
@@ -168,10 +186,10 @@ def _stack(kernel_prime: CoherentKernel, s: np.ndarray, alpha: np.ndarray,
            pure: int) -> list[EntropyReport]:
     """Reports for a stack of orders alpha, from rho's kernel in sigma's frame
     and the count of rho's pure modes."""
-    z = apply_contraction(kernel_prime, fractional_power_contraction(s, alpha))
+    z = apply_contraction(kernel_prime, _contraction(s, alpha))
     ln_trace = log_kernel_trace(z)
     mixed = s.size - pure  # t_z ascends: the pure modes' (noise) t_Z come last
-    t_z = _contracted_thermal_parameters(z) if mixed else np.full(z.mu.shape, np.inf)
+    t_z = _contracted_thermal_parameters(z) if mixed else np.full(z.k.shape, np.inf)
     t_z[:, mixed:] = np.inf
     ln_ps = log_thermal_norm(s)
     ln_ptz = log_thermal_norm(t_z)

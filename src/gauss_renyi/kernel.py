@@ -10,12 +10,19 @@ l = conj(mu) and B = conj(A), with A complex symmetric and Lam hermitian
 positive semidefinite.  Gaussian states, their fractional-power sandwiches
 and their traces all have closed forms in this parametrization.
 
-A stack of contractions (apply_contraction) gives a stack of kernels that
-share ln c: mu, A and Lam carry a leading axis, one entry per contraction, and
-form_matrix, log_kernel_trace and form_inverse work on every entry at once
+A diagonal contraction K = diag(k) maps the real form matrix M of a kernel
+to I - K~ (I - M) K~ and its linear term b to K~ b, with K~ = diag(k, k).
+So a kernel builds its real bordered base B = [[M - I, b], [b^T, _BORDER]]
+once, and a stack of contractions (apply_contraction) gets its bordered form
+matrices as w w^T o B + diag(1, ..., 1, 0), w = (k, k, 1), for one stacked
+Cholesky.  B is kept as its Lam part (with the border) and its pair part,
+each scaled by w w^T before they are added, which rounds as forming M from
+K A K and K Lam K does.  The contracted mu, A and Lam, which carry a
+leading axis with one entry per contraction, are formed only where they
+are read.  log_kernel_trace and form_inverse work on every entry at once
 through numpy.linalg's stacked (..., m, m) routines.  NumPy has no
 triangular solver, so Cholesky factors are never handed to its LU-based
-solve or inv: the trace reads b . M^{-1} b off a bordered factor, and
+solve or inv: the trace reads b . M^{-1} b off the bordered factor, and
 inverses of factors come from lower_triangular_inverse.
 """
 
@@ -80,40 +87,141 @@ class CoherentKernel:
         return self.mu.shape[-1]
 
     @cached_property
-    def _form_factor(self):
-        """Lower numpy.linalg Cholesky factor F of the bordered form matrix
-        [[M(A, lam), b], [b^T, _BORDER]], b = (Re mu, -Im mu), shared by the
-        trace and the covariance, or None unless M is positive definite with
-        every squared pivot above FORM_MIN_EIG and b . M^{-1} b < _BORDER
-        (for a stack: every entry).
-        The leading block of F is the Cholesky factor L of M, and its last
-        row is y = L^{-1} b, so b . M^{-1} b = |y|^2 needs no solve.  The
-        factorization is the definiteness test, so no eigensolve runs; a
-        squared pivot is never below the smallest eigenvalue, so the margin
-        bounds pivots, not the spectrum.
+    def _form_base(self) -> tuple[np.ndarray, np.ndarray]:
+        """The bordered form matrix [[M(A, lam), b], [b^T, _BORDER]] of a
+        single kernel, b = (Re mu, -Im mu), as P + Q + diag(1, ..., 1, 0):
+        P holds lam's part of M - I (_write_form_parts), b and the corner,
+        and Q the pair part.  A contraction scales both by w w^T
+        (ContractedKernel); summed after the scaling, they round as
+        M(K A K, K lam K) does, bit for bit.
         """
-        M = form_matrix(self.A, self.lam)
-        m = M.shape[-1]
-        bordered = np.empty(M.shape[:-2] + (m + 1, m + 1))
-        bordered[..., :m, :m] = M
-        b = bordered[..., m, :m]
-        b[..., :m // 2] = self.mu.real
-        np.negative(self.mu.imag, out=b[..., m // 2:])
-        bordered[..., :m, m] = b
-        bordered[..., m, m] = _BORDER
-        try:
-            F = np.linalg.cholesky(bordered)
-        except np.linalg.LinAlgError:
-            return None
-        return F if float(F.diagonal(0, -2, -1)[..., :m].min()) ** 2 > FORM_MIN_EIG else None
+        m = 2 * self.n
+        P = np.empty((m + 1, m + 1))
+        Q = np.zeros((m + 1, m + 1))
+        _write_form_parts(self.A, self.lam, P[:m, :m], Q[:m, :m])
+        b = P[m, :m]
+        b[:m // 2] = self.mu.real
+        np.negative(self.mu.imag, out=b[m // 2:])
+        P[:m, m] = b
+        P[m, m] = _BORDER
+        return P, Q
+
+    def _bordered(self) -> np.ndarray:
+        """The bordered form matrix [[M(A, lam), b], [b^T, _BORDER]]."""
+        P, Q = self._form_base
+        bordered = P + Q
+        _add_to_diagonal(bordered, 1.0)  # the corner keeps _BORDER: 1 is below its ulp
+        return bordered
+
+    @cached_property
+    def _form_factor(self):
+        """Lower numpy.linalg Cholesky factor F of the bordered form matrix,
+        shared by the trace and the covariance, or None unless M is positive
+        definite with every squared pivot above FORM_MIN_EIG and
+        b . M^{-1} b < _BORDER (for a stack: every entry).
+
+        The leading block of F is the Cholesky factor L of M, and its last
+        row is y = L^{-1} b, so b . M^{-1} b = |y|^2 needs no solve.
+        """
+        return _cholesky_factor(self._bordered(), 2 * self.n)
+
+
+class ContractedKernel(CoherentKernel):
+    """Gamma(K) Z Gamma(K) for a diagonal contraction K = diag(k) of a single,
+    uncontracted kernel Z (parent), or the stack of them for contractions k
+    of shape (m, n): (ln c, K mu, K A K, K lam K).
+
+    mu, A and lam are formed from the parent when read.  The bordered form
+    matrix is the parent's base scaled by w w^T, w = (k, k, 1), so the trace
+    and the covariance need none of them.
+    """
+
+    def __init__(self, parent: CoherentKernel, k: np.ndarray) -> None:
+        k.flags.writeable = False
+        object.__setattr__(self, "log_c", parent.log_c)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "k", k)
+
+    @property
+    def n(self) -> int:
+        return self.k.shape[-1]
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        return _read_only(self.k * self.parent.mu)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        return _read_only(self._outer * self.parent.A)
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        return _read_only(self._outer * self.parent.lam)
+
+    @property
+    def _outer(self) -> np.ndarray:
+        return self.k[..., :, None] * self.k[..., None, :]
+
+    def _bordered(self) -> np.ndarray:
+        """w w^T o P + w w^T o Q + diag(1, ..., 1, 0) from the parent's base,
+        one bordered form matrix per contraction."""
+        k = self.k
+        n = k.shape[-1]
+        w = np.empty(k.shape[:-1] + (2 * n + 1,))
+        w[..., :n] = w[..., n:-1] = k
+        w[..., -1] = 1.0
+        P, Q = self.parent._form_base
+        bordered = w[..., :, None] * w[..., None, :]
+        pairs = bordered * Q
+        bordered *= P
+        bordered += pairs
+        _add_to_diagonal(bordered, 1.0)
+        return bordered
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _set_fields(kernel: CoherentKernel, log_c, mu, A, lam) -> CoherentKernel:
     for name, arr in (("mu", mu), ("A", A), ("lam", lam)):
-        arr.flags.writeable = False
-        object.__setattr__(kernel, name, arr)
+        object.__setattr__(kernel, name, _read_only(arr))
     object.__setattr__(kernel, "log_c", float(log_c))
     return kernel
+
+
+def _cholesky_factor(matrix: np.ndarray, m: int):
+    """Lower numpy.linalg Cholesky factor of matrix, or None unless it is
+    positive definite with its first m squared pivots above FORM_MIN_EIG
+    (for a stack: every entry).  The factorization is the definiteness
+    test, so no eigensolve runs; a squared pivot is never below the smallest
+    eigenvalue, so the margin bounds pivots, not the spectrum.
+    """
+    try:
+        F = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return None
+    return F if float(F.diagonal(0, -2, -1)[..., :m].min()) ** 2 > FORM_MIN_EIG else None
+
+
+def _write_form_parts(A: np.ndarray, lam: np.ndarray, lam_part: np.ndarray,
+                      pair_part: np.ndarray) -> None:
+    """Write M(A, lam) - I = lam_part + pair_part, per entry of any leading
+    axes:
+
+        lam_part = -[[Re lam, -Im lam], [Im lam, Re lam]]
+        pair_part = -2 [[Re A, Im A], [Im A, -Re A]]
+    """
+    n = A.shape[-1]
+    np.negative(lam.real, out=lam_part[..., :n, :n])
+    lam_part[..., :n, n:] = lam.imag
+    np.negative(lam.imag, out=lam_part[..., n:, :n])
+    lam_part[..., n:, n:] = lam_part[..., :n, :n]
+    np.multiply(A.real, -2.0, out=pair_part[..., :n, :n])
+    np.negative(pair_part[..., :n, :n], out=pair_part[..., n:, n:])
+    np.multiply(A.imag, -2.0, out=pair_part[..., :n, n:])
+    pair_part[..., n:, :n] = pair_part[..., :n, n:]
 
 
 def form_matrix(A: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -128,14 +236,10 @@ def form_matrix(A: np.ndarray, lam: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     lam = np.asarray(lam, dtype=complex)
     n = A.shape[-1]
-    a_re, a_im = 2.0 * A.real, 2.0 * A.imag
-    # the subtracted blocks, written in place, negated, then I added
     M = np.empty(A.shape[:-2] + (2 * n, 2 * n))
-    np.add(lam.real, a_re, out=M[..., :n, :n])
-    np.subtract(a_im, lam.imag, out=M[..., :n, n:])
-    np.add(lam.imag, a_im, out=M[..., n:, :n])
-    np.subtract(lam.real, a_re, out=M[..., n:, n:])
-    np.negative(M, out=M)
+    pairs = np.empty(M.shape)
+    _write_form_parts(A, lam, M, pairs)
+    M += pairs
     _add_to_diagonal(M, 1.0)
     M = M + M.swapaxes(-1, -2)
     M *= 0.5
@@ -244,11 +348,12 @@ def form_inverse(kernel: CoherentKernel, orders=...) -> np.ndarray:
     """M(A, lam)^{-1} = L^{-T} L^{-1} of a normalizable kernel; for a stack of
     kernels, of the entries that orders selects.
 
-    L is the leading block of the Cholesky factor that log_kernel_trace
-    shares, inverted by lower_triangular_inverse.  M^{-1} - I/2 = J S J^T
-    is the covariance S of the kernel's state turned by the symplectic J,
-    so it has S's symplectic spectrum.  Raises UnphysicalStateError when
-    the form matrix is singular or indefinite, or b . M^{-1} b >= _BORDER.
+    L is the leading block of the bordered Cholesky factor that
+    log_kernel_trace shares, inverted by lower_triangular_inverse.
+    M^{-1} - I/2 = J S J^T is the covariance S of the kernel's state turned
+    by the symplectic J, so it has S's symplectic spectrum.  Raises
+    UnphysicalStateError when the form matrix is singular or indefinite, or
+    b . M^{-1} b >= _BORDER.
     """
     F = kernel._form_factor
     if F is None:
@@ -262,15 +367,22 @@ def kernel_to_state(kernel: CoherentKernel) -> GaussianState:
     """Recover (mean, covariance) from a normalizable Gaussian kernel.
 
     S = M(-A, lam)^{-1} - I/2 = J^T M(A, lam)^{-1} J - I/2, since
-    M(-A, lam) = J^T M(A, lam) J exactly.  M^{-1} is form_inverse's, and
-    J^T X J = [[X22, -X21], [-X12, X11]] is copied block by block, which
-    gives the bits of the two products with J.  The mean inverts the
-    displacement map of state_to_kernel: m_r = Xi M(A, lam)^{-1} Xi mu_r
-    where Xi negates the imaginary block.  Raises UnphysicalStateError when
-    the form matrix is singular or indefinite.
+    M(-A, lam) = J^T M(A, lam) J exactly.  M^{-1} = L^{-T} L^{-1} comes from
+    M's own Cholesky factor L, not the trace's bordered one, so the
+    displacement has no limit here below overflow.  J^T X J =
+    [[X22, -X21], [-X12, X11]] is copied block by block, which gives the
+    bits of the two products with J.  The mean inverts the displacement map
+    of state_to_kernel: m_r = Xi M(A, lam)^{-1} Xi mu_r where Xi negates the
+    imaginary block.  Raises UnphysicalStateError when the form matrix is
+    singular or indefinite (a squared pivot at most FORM_MIN_EIG).
     """
     n = kernel.n
-    inv = form_inverse(kernel)
+    L = _cholesky_factor(form_matrix(kernel.A, kernel.lam), 2 * n)
+    if L is None:
+        raise UnphysicalStateError(
+            "kernel parameters do not describe a normalizable gaussian state")
+    Li = lower_triangular_inverse(L)
+    inv = Li.T @ Li
     cov = np.empty(inv.shape)
     cov[:n, :n] = inv[n:, n:]
     np.negative(inv[n:, :n], out=cov[:n, n:])
@@ -282,7 +394,7 @@ def kernel_to_state(kernel: CoherentKernel) -> GaussianState:
     return GaussianState(mean, 0.5 * (cov + cov.T))
 
 
-def apply_contraction(kernel: CoherentKernel, k: np.ndarray) -> CoherentKernel:
+def apply_contraction(kernel: CoherentKernel, k: np.ndarray) -> ContractedKernel:
     """Parameters of Gamma(K) Z Gamma(K) for a diagonal contraction K.
 
     Gamma(K) is the second quantization of K = diag(k); sandwiching maps
@@ -290,18 +402,21 @@ def apply_contraction(kernel: CoherentKernel, k: np.ndarray) -> CoherentKernel:
     in [0, 1], and NaN or inf raises ValueError.  A stack of contractions k
     of shape (m, n) gives the stack of m sandwiched kernels.  A real
     diagonal K keeps A symmetric and lam hermitian PSD, so CoherentKernel's
-    checks and their eigensolve are not run again.
+    checks and their eigensolve are not run again.  The result forms its
+    mu, A and lam only when they are read (ContractedKernel); contracting
+    a contracted kernel multiplies the contractions, Gamma(K2) Gamma(K1) =
+    Gamma(K2 K1), so the parent is always a single kernel.
     """
-    k = np.asarray(k, dtype=float)
+    k = np.array(k, dtype=float)
     if k.ndim not in (1, 2) or k.shape[-1] != kernel.n:
         raise ValueError(f"contraction has shape {k.shape} for {kernel.n} modes")
-    if not np.isfinite(k).all():
-        raise ValueError(f"contraction entries must be finite, got {k}")
-    if (k < 0.0).any() or (k > 1.0 + 1e-12).any():
+    if not 0.0 <= k.min() <= k.max() <= 1.0 + 1e-12:  # false for NaN too
+        if not np.isfinite(k).all():
+            raise ValueError(f"contraction entries must be finite, got {k}")
         raise ValueError(f"contraction violation: diagonal entries must be in [0, 1], got {k}")
-    outer = k[..., :, None] * k[..., None, :]
-    return _set_fields(object.__new__(CoherentKernel), kernel.log_c, k * kernel.mu,
-                       outer * kernel.A, outer * kernel.lam)
+    if isinstance(kernel, ContractedKernel):
+        return ContractedKernel(kernel.parent, kernel.k * k)
+    return ContractedKernel(kernel, k)
 
 
 def evaluate_kernel(kernel: CoherentKernel, u: np.ndarray, v: np.ndarray) -> complex:

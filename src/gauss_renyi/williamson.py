@@ -61,16 +61,25 @@ def _spectrum(S: np.ndarray, vectors: bool = False):
     i W / d with W = (J R) V, so L = sqrt2 [Re W, -Im W] diag(1/sqrt d, 1/sqrt d).
     Each column's phase makes V's largest-modulus entry positive imaginary, so
     L is deterministic.  Raises _NotPositiveDefinite when the Cholesky fails.
+    Without vectors, S must be a C-contiguous array of the caller's own
+    (_check_symmetric's), which is overwritten.
     """
     try:
         R = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         raise _NotPositiveDefinite(float(np.min(np.linalg.eigvalsh(S)[..., 0]))) from None
     n = S.shape[-1] // 2
-    # J R: R's row blocks swapped, one negated
-    jr = np.concatenate([R[..., n:, :], -R[..., :n, :]], axis=-2)
+    # J R: R's row blocks swapped, one negated.  Without vectors, S's buffer
+    # holds J R and then skew - skew^T, so that each temporary is freed as
+    # soon as the next exists
+    out = None if vectors else S
+    jr = np.concatenate([R[..., n:, :], -R[..., :n, :]], axis=-2, out=out)
     skew = R.swapaxes(-1, -2) @ jr
-    herm = 0.5j * (skew - skew.swapaxes(-1, -2))
+    del R
+    diff = np.subtract(skew, skew.swapaxes(-1, -2), out=out)
+    del skew
+    herm = 0.5j * diff
+    del diff
     if not vectors:
         return np.linalg.eigvalsh(herm)[..., ::-1][..., :n], None
     ev, V = np.linalg.eigh(herm)
@@ -109,7 +118,8 @@ def symplectic_eigenvalues(S: np.ndarray) -> np.ndarray:
     with R the Cholesky factor of S, which is numerically stable and keeps
     the result exactly real.
     """
-    return _spectrum(_check_symmetric(S))[0]
+    S = _check_symmetric(S)  # drops this frame's hold on an argument passed unnamed
+    return _spectrum(S)[0]
 
 
 @dataclass(frozen=True)

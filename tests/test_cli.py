@@ -252,6 +252,17 @@ def test_convert_coherent_kernel(states, capsys):
     assert np.allclose(back["cov"], 0.5 * np.eye(2))
 
 
+def test_convert_past_the_trace_border(capsys, tmp_path):
+    # |gamma| = 1e151 puts b . M^{-1} b past the trace's 1e300 border, but the
+    # round trip needs M's factor alone (entropy on it exits 2, see below)
+    huge = write(tmp_path, "huge.json", {"coherent": [[1e151, 0.0]]})
+    code, out, err = run(capsys, ["convert", huge, "--format", "json"])
+    assert code == 0, err
+    back = json.loads(out)["state_roundtrip"]
+    assert back["mean"][0] == 1e151
+    assert np.allclose(back["cov"], 0.5 * np.eye(2))
+
+
 def test_verify_coherent_suite(states, capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "coherent",
                                 "--format", "json"])

@@ -222,6 +222,30 @@ def test_bordered_trace_matches_slogdet_and_solve(rng):
                 assert log_kernel_trace(z) == value
 
 
+def test_contracted_bordered_form_is_the_contracted_kernels(rng):
+    # the parent's base scaled by w w^T, w = (k, k, 1), is the bordered form
+    # matrix [[M(K A K, K lam K), K~ b], [., 1e300]] built from the contracted
+    # (K mu, K A K, K lam K), bit for bit, at k = 0, k = 1 and random k
+    for n in (1, 3, 8):
+        for _ in range(3):
+            kernel = state_to_kernel(random_faithful_state(rng, n, mean_scale=2.0))
+            contractions = np.vstack([np.zeros(n), np.ones(n), rng.uniform(size=(3, n))])
+            z = apply_contraction(kernel, contractions)
+            m = 2 * n
+            expected = np.empty((len(contractions), m + 1, m + 1))
+            expected[:, :m, :m] = form_matrix(z.A, z.lam)
+            expected[:, m, :m] = expected[:, :m, m] = np.hstack([z.mu.real, -z.mu.imag])
+            expected[:, m, m] = 1e300
+            assert np.array_equal(z._bordered(), expected)
+            for k, value in zip(contractions, log_kernel_trace(z)):
+                assert log_kernel_trace(apply_contraction(kernel, k)) == value
+            # contracting again multiplies the contractions
+            again = apply_contraction(z, contractions[-1])
+            assert again.parent is kernel
+            assert np.array_equal(log_kernel_trace(again), log_kernel_trace(
+                apply_contraction(kernel, contractions * contractions[-1])))
+
+
 def test_bordered_trace_of_large_displacement():
     # coherent_state(26) in the frame of thermal_state(1.0): c = e^-676 and
     # b . M^{-1} b = 676 cancel to Tr = 1
