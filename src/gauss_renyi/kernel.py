@@ -10,20 +10,22 @@ l = conj(mu) and B = conj(A), with A complex symmetric and Lam hermitian
 positive semidefinite.  Gaussian states, their fractional-power sandwiches
 and their traces all have closed forms in this parametrization.
 
-A diagonal contraction K = diag(k) maps the real form matrix M of a kernel
-to I - K~ (I - M) K~ and its linear term b to K~ b, with K~ = diag(k, k).
-So a kernel builds its real bordered base B = [[M - I, b], [b^T, _BORDER]]
-once, and a stack of contractions (apply_contraction) gets its bordered form
-matrices as w w^T o B + diag(1, ..., 1, 0), w = (k, k, 1), for one stacked
-Cholesky.  B is kept as its Lam part (with the border) and its pair part,
-each scaled by w w^T before they are added, which rounds as forming M from
-K A K and K Lam K does.  The contracted mu, A and Lam, which carry a
-leading axis with one entry per contraction, are formed only where they
-are read.  log_kernel_trace and form_inverse work on every entry at once
-through numpy.linalg's stacked (..., m, m) routines.  NumPy has no
-triangular solver, so Cholesky factors are never handed to its LU-based
-solve or inv: the trace reads b . M^{-1} b off the bordered factor, and
-inverses of factors come from lower_triangular_inverse.
+Everything built from the real form matrix M of a kernel and its linear
+term b = (Re mu, -Im mu) comes from one base per kernel, the bordered
+B = [[M - I, b], [b^T, _BORDER]] (CoherentKernel._form_base).  A diagonal
+contraction K = diag(k) maps M to I - K~ (I - M) K~ and b to K~ b, with
+K~ = diag(k, k), so a contracted kernel is the record (parent, k)
+(ContractedKernel), and its bordered form matrices, one per row of a stack
+of contractions, are w w^T o B + diag(1, ..., 1, 0), w = (k, k, 1), for one
+stacked Cholesky.  A plain kernel is traced as its contraction by k = 1,
+and kernel_to_state reads M off the same base.  B is kept as its Lam part
+(with the border) and its pair part, each scaled by w w^T before they are
+added, which rounds as forming M from K A K and K Lam K does.
+log_kernel_trace and form_inverse work on every entry at once through
+numpy.linalg's stacked (..., m, m) routines.  NumPy has no triangular
+solver, so Cholesky factors are never handed to its LU-based solve or inv:
+the trace reads b . M^{-1} b off the bordered factor, and inverses of
+factors come from lower_triangular_inverse.
 """
 
 from __future__ import annotations
@@ -88,83 +90,58 @@ class CoherentKernel:
 
     @cached_property
     def _form_base(self) -> tuple[np.ndarray, np.ndarray]:
-        """The bordered form matrix [[M(A, lam), b], [b^T, _BORDER]] of a
-        single kernel, b = (Re mu, -Im mu), as P + Q + diag(1, ..., 1, 0):
-        P holds lam's part of M - I (_write_form_parts), b and the corner,
-        and Q the pair part.  A contraction scales both by w w^T
-        (ContractedKernel); summed after the scaling, they round as
-        M(K A K, K lam K) does, bit for bit.
+        """The bordered base [[M - I, b], [b^T, _BORDER]], b = (Re mu, -Im mu),
+        as P + Q, with P = -[[Re lam, -Im lam], [Im lam, Re lam]] bordered by
+        b and _BORDER, and Q = -2 [[Re A, Im A], [Im A, -Re A]] by zeros.  A
+        contraction scales both by w w^T; summed after the scaling, they round
+        as M(K A K, K lam K) does, bit for bit.
         """
-        m = 2 * self.n
+        n, m = self.n, 2 * self.n
+        lam, A = self.lam, self.A
         P = np.empty((m + 1, m + 1))
         Q = np.zeros((m + 1, m + 1))
-        _write_form_parts(self.A, self.lam, P[:m, :m], Q[:m, :m])
-        b = P[m, :m]
-        b[:m // 2] = self.mu.real
-        np.negative(self.mu.imag, out=b[m // 2:])
-        P[:m, m] = b
+        np.negative(lam.real, out=P[:n, :n])
+        P[:n, n:m] = lam.imag
+        np.negative(lam.imag, out=P[n:m, :n])
+        P[n:m, n:m] = P[:n, :n]
+        np.multiply(A.real, -2.0, out=Q[:n, :n])
+        np.negative(Q[:n, :n], out=Q[n:m, n:m])
+        np.multiply(A.imag, -2.0, out=Q[:n, n:m])
+        Q[n:m, :n] = Q[:n, n:m]
+        P[m, :n] = self.mu.real
+        np.negative(self.mu.imag, out=P[m, n:m])
+        P[:m, m] = P[m, :m]
         P[m, m] = _BORDER
         return P, Q
 
-    def _bordered(self) -> np.ndarray:
-        """The bordered form matrix [[M(A, lam), b], [b^T, _BORDER]]."""
-        P, Q = self._form_base
-        bordered = P + Q
-        _add_to_diagonal(bordered, 1.0)  # the corner keeps _BORDER: 1 is below its ulp
-        return bordered
 
-    @cached_property
-    def _form_factor(self):
-        """Lower numpy.linalg Cholesky factor F of the bordered form matrix,
-        shared by the trace and the covariance, or None unless M is positive
-        definite with every squared pivot above FORM_MIN_EIG and
-        b . M^{-1} b < _BORDER (for a stack: every entry).
+@dataclass(frozen=True)
+class ContractedKernel:
+    """Gamma(K) Z Gamma(K), K = diag(k), of a plain kernel Z (parent), kept as
+    the record (parent, k); a stack of them for contractions k of shape
+    (m, n).  Its bordered form matrices scale the parent's base, so its
+    quadruple (ln c, K mu, K A K, K lam K) is never formed."""
 
-        The leading block of F is the Cholesky factor L of M, and its last
-        row is y = L^{-1} b, so b . M^{-1} b = |y|^2 needs no solve.
-        """
-        return _cholesky_factor(self._bordered(), 2 * self.n)
+    parent: CoherentKernel
+    k: np.ndarray
 
-
-class ContractedKernel(CoherentKernel):
-    """Gamma(K) Z Gamma(K) for a diagonal contraction K = diag(k) of a single,
-    uncontracted kernel Z (parent), or the stack of them for contractions k
-    of shape (m, n): (ln c, K mu, K A K, K lam K).
-
-    mu, A and lam are formed from the parent when read.  The bordered form
-    matrix is the parent's base scaled by w w^T, w = (k, k, 1), so the trace
-    and the covariance need none of them.
-    """
-
-    def __init__(self, parent: CoherentKernel, k: np.ndarray) -> None:
-        k.flags.writeable = False
-        object.__setattr__(self, "log_c", parent.log_c)
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "k", k)
+    @property
+    def log_c(self) -> float:
+        return self.parent.log_c
 
     @property
     def n(self) -> int:
         return self.k.shape[-1]
 
     @cached_property
-    def mu(self) -> np.ndarray:
-        return _read_only(self.k * self.parent.mu)
-
-    @cached_property
-    def A(self) -> np.ndarray:
-        return _read_only(self._outer * self.parent.A)
-
-    @cached_property
-    def lam(self) -> np.ndarray:
-        return _read_only(self._outer * self.parent.lam)
-
-    @property
-    def _outer(self) -> np.ndarray:
-        return self.k[..., :, None] * self.k[..., None, :]
-
-    def _bordered(self) -> np.ndarray:
-        """w w^T o P + w w^T o Q + diag(1, ..., 1, 0) from the parent's base,
-        one bordered form matrix per contraction."""
+    def _form_factor(self):
+        """Lower numpy.linalg Cholesky factor F of w w^T o P + w w^T o Q +
+        diag(1, ..., 1, 0), w = (k, k, 1), from the parent's base, or None
+        unless M is positive definite with every squared pivot above
+        FORM_MIN_EIG and b . M^{-1} b < _BORDER (for a stack: every entry).
+        F's leading block is M's factor L, and its last row is y = L^{-1} b,
+        so the trace's b . M^{-1} b = |y|^2 needs no solve.
+        """
         k = self.k
         n = k.shape[-1]
         w = np.empty(k.shape[:-1] + (2 * n + 1,))
@@ -175,18 +152,22 @@ class ContractedKernel(CoherentKernel):
         pairs = bordered * Q
         bordered *= P
         bordered += pairs
-        _add_to_diagonal(bordered, 1.0)
-        return bordered
+        del pairs  # the factor can take its memory
+        _add_to_diagonal(bordered, 1.0)  # the corner keeps _BORDER: 1 is below its ulp
+        return _cholesky_factor(bordered, 2 * n)
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+def _bordered_factor(kernel: CoherentKernel | ContractedKernel):
+    """Bordered factor of a contracted kernel, or of a plain one contracted by k = 1."""
+    if isinstance(kernel, CoherentKernel):
+        kernel = ContractedKernel(kernel, np.ones(kernel.n))
+    return kernel._form_factor
 
 
 def _set_fields(kernel: CoherentKernel, log_c, mu, A, lam) -> CoherentKernel:
     for name, arr in (("mu", mu), ("A", A), ("lam", lam)):
-        object.__setattr__(kernel, name, _read_only(arr))
+        arr.flags.writeable = False
+        object.__setattr__(kernel, name, arr)
     object.__setattr__(kernel, "log_c", float(log_c))
     return kernel
 
@@ -203,47 +184,6 @@ def _cholesky_factor(matrix: np.ndarray, m: int):
     except np.linalg.LinAlgError:
         return None
     return F if float(F.diagonal(0, -2, -1)[..., :m].min()) ** 2 > FORM_MIN_EIG else None
-
-
-def _write_form_parts(A: np.ndarray, lam: np.ndarray, lam_part: np.ndarray,
-                      pair_part: np.ndarray) -> None:
-    """Write M(A, lam) - I = lam_part + pair_part, per entry of any leading
-    axes:
-
-        lam_part = -[[Re lam, -Im lam], [Im lam, Re lam]]
-        pair_part = -2 [[Re A, Im A], [Im A, -Re A]]
-    """
-    n = A.shape[-1]
-    np.negative(lam.real, out=lam_part[..., :n, :n])
-    lam_part[..., :n, n:] = lam.imag
-    np.negative(lam.imag, out=lam_part[..., n:, :n])
-    lam_part[..., n:, n:] = lam_part[..., :n, :n]
-    np.multiply(A.real, -2.0, out=pair_part[..., :n, :n])
-    np.negative(pair_part[..., :n, :n], out=pair_part[..., n:, n:])
-    np.multiply(A.imag, -2.0, out=pair_part[..., :n, n:])
-    pair_part[..., n:, :n] = pair_part[..., :n, n:]
-
-
-def form_matrix(A: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Real symmetric 2n x 2n quadratic-form matrix of a kernel, per entry of
-    any leading axes of A and lam.
-
-    M = I - [[Re lam, -Im lam], [Im lam, Re lam]]
-          - 2 [[Re A, Im A], [Im A, -Re A]]
-
-    M(-A, lam) = J^T M(A, lam) J, whose inverse recovers the state's moments.
-    """
-    A = np.asarray(A, dtype=complex)
-    lam = np.asarray(lam, dtype=complex)
-    n = A.shape[-1]
-    M = np.empty(A.shape[:-2] + (2 * n, 2 * n))
-    pairs = np.empty(M.shape)
-    _write_form_parts(A, lam, M, pairs)
-    M += pairs
-    _add_to_diagonal(M, 1.0)
-    M = M + M.swapaxes(-1, -2)
-    M *= 0.5
-    return M
 
 
 def _add_to_diagonal(M: np.ndarray, value: float) -> None:
@@ -272,10 +212,10 @@ def lower_triangular_inverse(L: np.ndarray) -> np.ndarray:
     return inv
 
 
-def log_kernel_trace(kernel: CoherentKernel):
+def log_kernel_trace(kernel: CoherentKernel | ContractedKernel):
     """ln Tr Z for a positive kernel, or an array of them for a stack of
-    kernels; raises NotTraceClassError unless M(A, lam) is positive definite
-    with every squared Cholesky pivot above 1e-12 and b . M^{-1} b < _BORDER.
+    contractions; raises NotTraceClassError unless M(A, lam) is positive
+    definite with every squared pivot above 1e-12 and b . M^{-1} b < _BORDER.
 
     ln Tr Z = ln c - ln det M / 2 + b . M^{-1} b with b = (Re mu, -Im mu);
     the sign on the imaginary block comes from the conjugate slot of the
@@ -284,7 +224,7 @@ def log_kernel_trace(kernel: CoherentKernel):
     its leading block L, and b . M^{-1} b = |y|^2 over its last row
     y = L^{-1} b, with no solve.
     """
-    F = kernel._form_factor
+    F = _bordered_factor(kernel)
     if F is None:
         raise NotTraceClassError(
             "not trace class: form matrix not positive definite "
@@ -339,12 +279,13 @@ def state_to_kernel(state: GaussianState) -> CoherentKernel:
     mu = m - 2.0 * A.conj() @ m.conj() - lam.conj() @ m
     with np.errstate(over="ignore", invalid="ignore"):
         quad = float((-m.conj() @ m + 2.0 * (m @ A @ m) + m @ lam @ m.conj()).real)
-    if not np.isfinite(quad):  # |m|^2 overflows from |m| = 1.3e154
-        raise NotTraceClassError(f"not trace class: {_PAST_BORDER}")
+    if not np.isfinite(quad):
+        raise NotTraceClassError("not trace class: the squared displacement |m|^2 in ln c "
+                                 "overflows a double (a displacement past about 1.3e154)")
     return _set_fields(object.__new__(CoherentKernel), -0.5 * logdet + quad, mu, A, lam)
 
 
-def form_inverse(kernel: CoherentKernel, orders=...) -> np.ndarray:
+def form_inverse(kernel: CoherentKernel | ContractedKernel, orders=...) -> np.ndarray:
     """M(A, lam)^{-1} = L^{-T} L^{-1} of a normalizable kernel; for a stack of
     kernels, of the entries that orders selects.
 
@@ -355,7 +296,7 @@ def form_inverse(kernel: CoherentKernel, orders=...) -> np.ndarray:
     UnphysicalStateError when the form matrix is singular or indefinite, or
     b . M^{-1} b >= _BORDER.
     """
-    F = kernel._form_factor
+    F = _bordered_factor(kernel)
     if F is None:
         raise UnphysicalStateError(
             f"kernel parameters do not describe a normalizable gaussian state, or {_PAST_BORDER}")
@@ -375,9 +316,16 @@ def kernel_to_state(kernel: CoherentKernel) -> GaussianState:
     of state_to_kernel: m_r = Xi M(A, lam)^{-1} Xi mu_r where Xi negates the
     imaginary block.  Raises UnphysicalStateError when the form matrix is
     singular or indefinite (a squared pivot at most FORM_MIN_EIG).
+
+    M = P + Q + I comes off the kernel's base (_form_base).  It holds
+    I - lam to absolute rounding, so a hot mode (symplectic eigenvalue d)
+    comes back to about eps * d relative, and fails from d ~ 1/FORM_MIN_EIG.
     """
     n = kernel.n
-    L = _cholesky_factor(form_matrix(kernel.A, kernel.lam), 2 * n)
+    P, Q = kernel._form_base
+    M = P[:2 * n, :2 * n] + Q[:2 * n, :2 * n]
+    _add_to_diagonal(M, 1.0)
+    L = _cholesky_factor(M, 2 * n)
     if L is None:
         raise UnphysicalStateError(
             "kernel parameters do not describe a normalizable gaussian state")
@@ -394,7 +342,7 @@ def kernel_to_state(kernel: CoherentKernel) -> GaussianState:
     return GaussianState(mean, 0.5 * (cov + cov.T))
 
 
-def apply_contraction(kernel: CoherentKernel, k: np.ndarray) -> ContractedKernel:
+def apply_contraction(kernel: CoherentKernel | ContractedKernel, k: np.ndarray) -> ContractedKernel:
     """Parameters of Gamma(K) Z Gamma(K) for a diagonal contraction K.
 
     Gamma(K) is the second quantization of K = diag(k); sandwiching maps
@@ -402,10 +350,10 @@ def apply_contraction(kernel: CoherentKernel, k: np.ndarray) -> ContractedKernel
     in [0, 1], and NaN or inf raises ValueError.  A stack of contractions k
     of shape (m, n) gives the stack of m sandwiched kernels.  A real
     diagonal K keeps A symmetric and lam hermitian PSD, so CoherentKernel's
-    checks and their eigensolve are not run again.  The result forms its
-    mu, A and lam only when they are read (ContractedKernel); contracting
-    a contracted kernel multiplies the contractions, Gamma(K2) Gamma(K1) =
-    Gamma(K2 K1), so the parent is always a single kernel.
+    checks and their eigensolve are not run again.  The result is the
+    record (parent, k) (ContractedKernel); contracting a contracted kernel
+    multiplies the contractions, Gamma(K2) Gamma(K1) = Gamma(K2 K1), so the
+    parent is always a plain kernel, which has the base.
     """
     k = np.array(k, dtype=float)
     if k.ndim not in (1, 2) or k.shape[-1] != kernel.n:
@@ -415,7 +363,8 @@ def apply_contraction(kernel: CoherentKernel, k: np.ndarray) -> ContractedKernel
             raise ValueError(f"contraction entries must be finite, got {k}")
         raise ValueError(f"contraction violation: diagonal entries must be in [0, 1], got {k}")
     if isinstance(kernel, ContractedKernel):
-        return ContractedKernel(kernel.parent, kernel.k * k)
+        kernel, k = kernel.parent, kernel.k * k
+    k.flags.writeable = False
     return ContractedKernel(kernel, k)
 
 

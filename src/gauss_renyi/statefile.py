@@ -131,10 +131,13 @@ def parse_state(obj, where: str = "state") -> GaussianState:
 
 
 def load_state(path) -> GaussianState:
-    """Load a state file; JSON syntax errors become StateFileError."""
+    """Load a state file; text that is not UTF-8 and JSON syntax errors become
+    StateFileError."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
+        except UnicodeDecodeError as exc:
+            raise StateFileError(f"{path}: not UTF-8 text ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise StateFileError(f"{path}: malformed JSON ({exc})") from exc
     return parse_state(obj, where=str(path))

@@ -107,6 +107,16 @@ def test_malformed_json_exit_1(states, capsys, tmp_path):
     assert "malformed JSON" in err
 
 
+def test_non_utf8_state_file_exit_1(states, capsys, tmp_path):
+    # a UTF-16 byte-order mark is not UTF-8: one error line naming the file
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, ["entropy", "--alpha", "0.5", str(bad), states["sigma"]])
+    assert code == 1 and out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: {bad}: not UTF-8 text")
+
+
 def test_missing_file_exit_1(states, capsys):
     code, _, err = run(capsys, ["entropy", "--alpha", "0.5",
                                 str(states["dir"] / "nothere.json"),
@@ -261,6 +271,16 @@ def test_convert_past_the_trace_border(capsys, tmp_path):
     back = json.loads(out)["state_roundtrip"]
     assert back["mean"][0] == 1e151
     assert np.allclose(back["cov"], 0.5 * np.eye(2))
+
+
+def test_convert_overflowing_displacement_exit_2(capsys, tmp_path):
+    # from |gamma| = 1.3e154 the kernel scale's |m|^2 overflows: the message
+    # names that, not the trace's border, which convert never builds
+    huge = write(tmp_path, "huge.json", {"coherent": [[1e160, 0.0]]})
+    code, out, err = run(capsys, ["convert", huge])
+    assert code == 2 and out == ""
+    assert "|m|^2 in ln c overflows a double" in err
+    assert "1e+300" not in err
 
 
 def test_verify_coherent_suite(states, capsys):

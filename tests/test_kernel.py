@@ -10,15 +10,30 @@ from gauss_renyi.entropy import (fractional_power_contraction, reduce_to_thermal
                                  sandwiched_renyi)
 from gauss_renyi.exceptions import NotTraceClassError, UnphysicalStateError
 from gauss_renyi.kernel import (CoherentKernel, apply_contraction,
-                                evaluate_kernel, form_matrix, kernel_to_state,
+                                evaluate_kernel, kernel_to_state,
                                 log_kernel_trace, lower_triangular_inverse,
                                 state_to_kernel)
 from gauss_renyi.recipes import phase_congruence
 from gauss_renyi.sampling import random_faithful_state
-from gauss_renyi.states import (coherent_state, gaussian_transform,
+from gauss_renyi.states import (GaussianState, coherent_state, gaussian_transform,
                                 squeezed_vacuum, symplectic_form, thermal_state)
 
 LN2 = math.log(2.0)
+
+
+def form_matrix(A, lam):
+    """M(A, lam) = I - [[Re lam, -Im lam], [Im lam, Re lam]]
+    - 2 [[Re A, Im A], [Im A, -Re A]], from its definition."""
+    return (np.eye(2 * A.shape[-1])
+            - np.block([[lam.real, -lam.imag], [lam.imag, lam.real]])
+            - 2.0 * np.block([[A.real, A.imag], [A.imag, -A.real]]))
+
+
+def contracted_quadruple(kernel, k):
+    """(K mu, K A K, K lam K) of a plain kernel and one contraction k."""
+    k = np.asarray(k, dtype=float)
+    outer = np.outer(k, k)
+    return k * kernel.mu, outer * kernel.A, outer * kernel.lam
 
 
 def test_vacuum_quadruple():
@@ -58,6 +73,16 @@ def test_squeezed_quadruple(r):
     assert np.allclose(k.mu, 0.0)
 
 
+@pytest.mark.parametrize("d", [1e2, 1e4, 1e8, 1e10])
+def test_hot_state_round_trip_within_eps_d(d):
+    # the kernel holds I - lam ~ 1/d to absolute rounding, so the round trip
+    # of cov = diag(d, d) comes back to about eps * d relative
+    state = GaussianState(np.zeros(2), d * np.eye(2))
+    back = kernel_to_state(state_to_kernel(state))
+    assert np.max(np.abs(back.cov - state.cov)) / d <= np.finfo(float).eps * d
+    assert np.array_equal(back.mean, state.mean)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_round_trip_random(rng, n):
     for _ in range(8):
@@ -88,9 +113,10 @@ def test_form_matrix_negated_a_inverts_shifted_cov(rng):
 def test_contraction_identity_and_collapse(rng):
     state = random_faithful_state(rng, 1)
     k = state_to_kernel(state)
+    # k = 1 keeps the parent, and the plain kernel's trace bit for bit
     same = apply_contraction(k, np.array([1.0]))
-    assert np.allclose(same.mu, k.mu)
-    assert np.allclose(same.lam, k.lam)
+    assert same.parent is k
+    assert log_kernel_trace(same) == log_kernel_trace(k)
     # k = 0 projects onto the vacuum: Tr Gamma(0) Z Gamma(0) = c
     collapsed = apply_contraction(k, np.array([0.0]))
     assert np.isclose(log_kernel_trace(collapsed), k.log_c, atol=1e-12)
@@ -99,8 +125,10 @@ def test_contraction_identity_and_collapse(rng):
 @pytest.mark.parametrize("t,kval", [(0.8, 0.6), (LN2, 0.9), (2.0, 0.25)])
 def test_contracted_thermal_matches_geometric_series(t, kval):
     # Gamma(k) rho_t Gamma(k) has lam' = k^2 e^-t and trace p(t)/(1 - k^2 e^-t)
-    z = apply_contraction(state_to_kernel(thermal_state(t)), np.array([kval]))
-    assert np.isclose(complex(z.lam[0, 0]).real, kval ** 2 * math.exp(-t), atol=1e-13)
+    kernel = state_to_kernel(thermal_state(t))
+    lam = contracted_quadruple(kernel, [kval])[2]
+    assert np.isclose(complex(lam[0, 0]).real, kval ** 2 * math.exp(-t), atol=1e-13)
+    z = apply_contraction(kernel, np.array([kval]))
     expected = (1.0 - math.exp(-t)) / (1.0 - kval ** 2 * math.exp(-t))
     assert np.isclose(math.exp(log_kernel_trace(z)), expected, rtol=1e-12)
 
@@ -196,14 +224,19 @@ def test_lower_triangular_inverse(rng, shape, m):
     assert np.max(np.abs(inv - np.linalg.inv(L))) <= 1e-13
 
 
-def independent_log_trace(kernel) -> float:
-    """ln Tr Z = ln c - ln det(M)/2 + b . M^{-1} b with M built from its
-    definition and evaluated by slogdet and a solve."""
-    a, lam = kernel.A, kernel.lam
-    M = (np.eye(2 * kernel.n)
-         - np.block([[lam.real, -lam.imag], [lam.imag, lam.real]])
-         - 2.0 * np.block([[a.real, a.imag], [a.imag, -a.real]]))
-    b = np.concatenate([kernel.mu.real, -kernel.mu.imag])
+def independent_bordered(kernel, k) -> np.ndarray:
+    """[[M, b], [b^T, 1e300]] of Gamma(K) Z Gamma(K), with M = M(K A K, K lam K)
+    and b = (Re K mu, -Im K mu) built from their definitions."""
+    mu, A, lam = contracted_quadruple(kernel, k)
+    b = np.concatenate([mu.real, -mu.imag])[:, None]
+    return np.block([[form_matrix(A, lam), b], [b.T, 1e300]])
+
+
+def independent_log_trace(kernel, k) -> float:
+    """ln Tr Gamma(K) Z Gamma(K) = ln c - ln det(M)/2 + b . M^{-1} b, with
+    M and b from independent_bordered, evaluated by slogdet and a solve."""
+    B = independent_bordered(kernel, k)
+    M, b = B[:-1, :-1], B[:-1, -1]
     sign, logdet = np.linalg.slogdet(M)
     assert sign > 0
     return kernel.log_c - 0.5 * logdet + float(b @ np.linalg.solve(M, b))
@@ -217,26 +250,24 @@ def test_bordered_trace_matches_slogdet_and_solve(rng):
             stacked = log_kernel_trace(apply_contraction(kernel, contractions))
             for k, value in zip(contractions, stacked):
                 z = apply_contraction(kernel, k)
-                expected = independent_log_trace(z)
+                expected = independent_log_trace(kernel, k)
                 assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
                 assert log_kernel_trace(z) == value
 
 
 def test_contracted_bordered_form_is_the_contracted_kernels(rng):
-    # the parent's base scaled by w w^T, w = (k, k, 1), is the bordered form
-    # matrix [[M(K A K, K lam K), K~ b], [., 1e300]] built from the contracted
-    # (K mu, K A K, K lam K), bit for bit, at k = 0, k = 1 and random k
+    # the factor of the parent's base scaled by w w^T, w = (k, k, 1), is the
+    # factor of the bordered form matrix [[M(K A K, K lam K), K~ b], [., 1e300]]
+    # built from the contracted (K mu, K A K, K lam K), at k = 0, k = 1 and random k
     for n in (1, 3, 8):
         for _ in range(3):
             kernel = state_to_kernel(random_faithful_state(rng, n, mean_scale=2.0))
             contractions = np.vstack([np.zeros(n), np.ones(n), rng.uniform(size=(3, n))])
             z = apply_contraction(kernel, contractions)
-            m = 2 * n
-            expected = np.empty((len(contractions), m + 1, m + 1))
-            expected[:, :m, :m] = form_matrix(z.A, z.lam)
-            expected[:, m, :m] = expected[:, :m, m] = np.hstack([z.mu.real, -z.mu.imag])
-            expected[:, m, m] = 1e300
-            assert np.array_equal(z._bordered(), expected)
+            F = z._form_factor
+            for f, k in zip(F, contractions):
+                assert np.allclose(f @ f.T, independent_bordered(kernel, k),
+                                   rtol=1e-13, atol=1e-12)
             for k, value in zip(contractions, log_kernel_trace(z)):
                 assert log_kernel_trace(apply_contraction(kernel, k)) == value
             # contracting again multiplies the contractions
@@ -254,8 +285,9 @@ def test_bordered_trace_of_large_displacement():
     assert math.isclose(log_kernel_trace(kernel) - kernel.log_c, 676.0, rel_tol=1e-14)
     assert abs(log_kernel_trace(kernel)) < 1e-12
     for alpha in (0.3, 0.5, 0.9):
-        z = apply_contraction(kernel, fractional_power_contraction(s, alpha))
-        expected = independent_log_trace(z)
+        k = fractional_power_contraction(s, alpha)
+        z = apply_contraction(kernel, k)
+        expected = independent_log_trace(kernel, k)
         assert abs(log_kernel_trace(z) - expected) <= 1e-14 * 676.0
         report = sandwiched_renyi(coherent_state(26.0), thermal_state(1.0), alpha)
         exact = analytic_coherent_thermal(26.0, 1.0, alpha)
