@@ -9,8 +9,7 @@ Run with:  python3 demos/williamson_tour.py
 import numpy as np
 
 from gauss_renyi.sampling import random_faithful_state
-from gauss_renyi.states import symplectic_form
-from gauss_renyi.williamson import t_to_d, williamson_decompose
+from gauss_renyi.williamson import symplectic_form, t_to_d, williamson_decompose
 
 
 def main() -> None:

@@ -13,18 +13,15 @@ where p(t) = prod_j (1 - e^(-t_j)) and p(inf) = 1.  All products of p and
 the trace are accumulated in the log domain.
 
 sigma is faithful, so the sandwich has as many pure modes as rho: as many
-of its largest t_Z as rho has pure modes (states.PURE_NOISE, read off the
-spectrum of its physicality check) are inf.  For a pure rho that is every
-t_Z, and the t_Z stage is skipped.
+of its largest t_Z as rho has pure modes (williamson.pure_mode_count, read
+off the spectrum of its physicality check) are inf.  For a pure rho that
+is every t_Z, and the t_Z stage is skipped.
 
 The reduction runs once per call.  The per-order stage (contraction, trace,
 t_Z and assembly) runs once per stack of orders: every formula takes a
 leading order axis, and its factorizations are numpy.linalg's stacked
-routines.  A single order is the stack of one.  A stack of contractions
-gets its form-matrix factor by scaling the real bordered base of rho's
-kernel, built once per call (kernel.ContractedKernel): the contraction and
-the trace form no complex per-order matrix, and the t_Z stage forms
-K Lambda K only for the orders of its pair-free branch.
+routines.  A single order is the stack of one, and every order of a stack
+scales the one bordered base of rho's kernel (kernel.ContractedKernel).
 """
 
 from __future__ import annotations
@@ -38,9 +35,9 @@ from .exceptions import AlphaRangeError, ModeMismatchError, NotFaithfulError
 # wraps every stage name of the pipeline in this module
 from .kernel import (CoherentKernel, ContractedKernel, apply_contraction,  # noqa: F401
                      form_inverse, kernel_to_state, log_kernel_trace, state_to_kernel)
-from .states import (PURE_FRAME, PURE_NOISE, PURE_TOL, GaussianState,
-                     gaussian_transform, require_physical)
-from .williamson import symplectic_eigenvalues, williamson_decompose, d_to_t
+from .states import GaussianState, gaussian_transform, require_physical
+from .williamson import (PURE_TOL, d_to_t, pure_mode_count, symplectic_eigenvalues,
+                         williamson_decompose)
 
 #: kernels whose pair block A is below this are treated as pair-free; their
 #: thermal spectrum is then read off Lambda directly (corrections enter at
@@ -101,10 +98,10 @@ def reduce_to_thermal(rho: GaussianState, sigma: GaussianState
     Returns (rho', s, p) where the same transform sends sigma to the
     zero-mean thermal state with ascending parameters s (read-only), to
     within the Williamson diagonalization residue, and p counts rho's pure
-    modes: those with d_j - 1/2 <= states.PURE_NOISE, none unless
-    max_ij |S_ij| <= states.PURE_FRAME.  Mode counts are compared before any
-    factorization; sigma's physicality is checked by its own Williamson
-    decomposition, after the checks that need no factorization.  Raises
+    modes (williamson.pure_mode_count of the spectrum of rho's physicality
+    check).  Mode counts are compared before any factorization; sigma's
+    physicality is checked by its own Williamson decomposition, after the
+    checks that need no factorization.  Raises
     ModeMismatchError, UnphysicalStateError for an unphysical rho or sigma,
     and NotFaithfulError if sigma has a pure mode.
     """
@@ -119,8 +116,7 @@ def reduce_to_thermal(rho: GaussianState, sigma: GaussianState
             f"{np.log1p(1.0 / PURE_TOL):.3g}), or its mode counts as pure; "
             f"got d - 1/2 = {np.array2string(form.d - 0.5, precision=3)}")
     rho_prime = gaussian_transform(rho, form.L, shift=sigma.mean)
-    pure = int((d - 0.5 <= PURE_NOISE).sum()) if float(abs(rho.cov).max()) <= PURE_FRAME else 0
-    return rho_prime, form.t, pure
+    return rho_prime, form.t, pure_mode_count(d, rho.cov)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ no generating-kernel algebra, so results can cross-check the closed forms.
 All operators act on the n-mode truncated space (C^cutoff)^(tensor n) with
 basis |k_1 .. k_n>, k_i < cutoff, mode 1 as the leftmost tensor factor.
 SciPy, for expm, is imported only inside the functions that call it, so
-importing the CLI, which reaches this module through verify, does not load it.
+importing this module, or verify, which imports it, does not load it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 
 from .exceptions import AlphaRangeError, NotFaithfulError
 from .recipes import Recipe
-from .states import GaussianState, symplectic_form
+from .states import GaussianState
+from .williamson import symplectic_form
 
 #: dense matrices must be hermitian to this max-abs tolerance
 HERMITIAN_TOL = 1e-10

@@ -36,13 +36,9 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import NotTraceClassError, UnphysicalStateError
-from .states import PHYSICAL_TOL, GaussianState
+from .states import SYMMETRY_TOL, GaussianState
+from .williamson import PHYSICAL_TOL
 
-#: max asymmetry / non-hermiticity accepted in kernel matrices
-KERNEL_SYM_TOL = 1e-12
-#: Lam may dip this far below PSD before we reject it: a physical state's
-#: kernel has lambda_min(Lam) >= d_min - 1/2 >= -PHYSICAL_TOL
-LAM_PSD_TOL = PHYSICAL_TOL
 #: minimum squared Cholesky pivot of the real form matrix for trace-class
 #: operators
 FORM_MIN_EIG = 1e-12
@@ -76,11 +72,12 @@ class CoherentKernel:
         for name, arr in (("log_c", self.log_c), ("mu", mu), ("A", A), ("lam", lam)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"kernel {name} has non-finite entries")
-        if np.max(np.abs(A - A.T)) > KERNEL_SYM_TOL:
+        if np.max(np.abs(A - A.T)) > SYMMETRY_TOL:
             raise ValueError("kernel matrix A must be complex symmetric")
-        if np.max(np.abs(lam - lam.conj().T)) > KERNEL_SYM_TOL:
+        if np.max(np.abs(lam - lam.conj().T)) > SYMMETRY_TOL:
             raise ValueError("kernel matrix lam must be hermitian")
-        if np.linalg.eigvalsh(lam).min() < -LAM_PSD_TOL:
+        # a physical state's kernel has lambda_min(lam) >= d_min - 1/2 >= -PHYSICAL_TOL
+        if np.linalg.eigvalsh(lam).min() < -PHYSICAL_TOL:
             raise ValueError("kernel matrix lam must be positive semidefinite")
         _set_fields(self, self.log_c, mu, A, lam)
 
@@ -256,7 +253,7 @@ def state_to_kernel(state: GaussianState) -> CoherentKernel:
     The state is taken to be physical (require_physical), so CoherentKernel's
     checks and their eigensolve are not run: A and lam are symmetrized above,
     and a state that passes require_physical has
-    lambda_min(lam) >= d_min - 1/2 >= -PHYSICAL_TOL = -LAM_PSD_TOL.
+    lambda_min(lam) >= d_min - 1/2 >= -PHYSICAL_TOL.
     """
     n = state.n
     C = 0.5 * np.eye(2 * n) + state.cov

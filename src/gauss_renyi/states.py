@@ -4,58 +4,34 @@ A state is described by a real mean vector of length 2n, ordered as
 (Re m_1 .. Re m_n, Im m_1 .. Im m_n), and a real symmetric 2n x 2n
 covariance matrix in the same block ordering.  The vacuum covariance is
 I/2 and a state is physical iff every symplectic eigenvalue of the
-covariance is >= 1/2.
+covariance is >= 1/2.  The checks here read that spectrum, and the
+thresholds applied to it, off williamson.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
+from . import williamson
 from .exceptions import UnphysicalStateError
 
 #: max allowed asymmetry of a covariance matrix
 SYMMETRY_TOL = 1e-12
-#: slack on the symplectic-eigenvalue bound d >= 1/2
-PHYSICAL_TOL = 1e-10
-#: residue allowed in the symplectic condition L^T J L = J
-SYMPLECTIC_TOL = 1e-10
-#: symplectic eigenvalues within this of 1/2 are treated as pure
-PURE_TOL = 1e-9
-#: a state counts as pure when max_ij |S_ij| <= PURE_FRAME and every
-#: computed d_j - 1/2 <= PURE_NOISE (7.1e-15).  PURE_TOL is far too coarse
-#: for this: a mode with d - 1/2 = 5e-10 has t = 21.4 and is mixed.  The
-#: rounding of a computed d grows with the squeezing of the frame, roughly
-#: as eps max|S|^2: a mode with d - 1/2 = 1e-13 (t = 29.9) squeezed by 3 in
-#: a random frame (max|S| = 120) reads -5.9e-13.  Up to max|S| = 2 it stays
-#: within 7.0, 9.5, 12.6 and 27.2 eps at n = 1, 4, 16 and 64, so in every
-#: frame a mode counts as pure only from t ~ 32 on; with d exact (an
-#: unsqueezed thermal mode) from t = 32.6 on: thermal_state(32) has
-#: d - 1/2 = 1.3e-14 and is mixed, thermal_state(33) 4.7e-15.  That moves
-#: D_alpha by -ln(1 - e^(-alpha t_Z)) / (1 - alpha), about e^(-alpha t_Z) at
-#: moderate alpha (1.4e-2 for t = 33 against s = 1.2 at alpha = 0.1); but
-#: as alpha -> 0, alpha t_Z -> s (1 - alpha) and it tends to
-#: -ln(1 - e^(-s)) (0.25 at alpha = 0.01, 0.36 in the limit, for s = 1.2).
-#: Pure states of squeeze <= 0.5 in random frames (max|S| <= 1.36) read at
-#: most 2.5, 4.0, 6.0, 6.5, 7.5 and 12.5 eps at n = 1, 4, 16, 32, 64 and 128.
-PURE_NOISE = 32 * np.finfo(float).eps
-PURE_FRAME = 2.0
 #: cap on the squeezing parameter accepted by the builders
 MAX_SQUEEZE = 5.0
 
 
-def symplectic_form(n: int) -> np.ndarray:
-    """Return the 2n x 2n block form J = [[0, I], [-I, 0]]."""
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, n:] = np.eye(n)
-    j[n:, :n] = -np.eye(n)
-    return j
+def _real(x, name: str) -> np.ndarray:
+    """x as a float array; ValueError if it has a nonzero imaginary part."""
+    if np.iscomplexobj(x) and np.imag(x).any():
+        raise ValueError(f"{name} must be real, got a nonzero imaginary part")
+    return np.asarray(np.real(x), dtype=float)
 
 
 def _as_real_vector(x, length: int, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
+    v = _real(x, name)
     if v.shape != (length,):
         raise ValueError(f"{name} must have shape ({length},), got {v.shape}")
     return v
@@ -69,8 +45,8 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        cov = np.array(self.cov, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
+        cov = np.array(_real(self.cov, "cov"))
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 or not cov.size:
             raise ValueError(f"cov must be a 2n x 2n matrix, got shape {cov.shape}")
         mean = _as_real_vector(self.mean, cov.shape[0], "mean")
         mean.flags.writeable = False
@@ -93,28 +69,16 @@ def validate_state(state: GaussianState) -> list[str]:
     """Return a list of violations; an empty list means the state is physical.
 
     Checks: finite entries, covariance symmetry, positive definiteness and
-    the Heisenberg bound (all symplectic eigenvalues >= 1/2 - PHYSICAL_TOL).
+    the Heisenberg bound (all symplectic eigenvalues >= 1/2 - williamson.PHYSICAL_TOL).
     """
     return _violations(state, _heisenberg_spectrum)[0]
 
 
 def _heisenberg_spectrum(cov: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of cov; UnphysicalStateError below 1/2 - PHYSICAL_TOL."""
-    from .williamson import symplectic_eigenvalues  # deferred, avoids an import cycle
-
-    d = symplectic_eigenvalues(cov)
-    require_heisenberg(d)
+    """Symplectic spectrum of cov; UnphysicalStateError below the Heisenberg bound."""
+    d = williamson.symplectic_eigenvalues(cov)
+    williamson.require_heisenberg(d)
     return d
-
-
-def require_heisenberg(d) -> None:
-    """Raise UnphysicalStateError if a symplectic eigenvalue in d is below
-    1/2 - PHYSICAL_TOL; the message says how far below 1/2 the lowest one is."""
-    low = float(d.min())
-    if low < 0.5 - PHYSICAL_TOL:
-        raise UnphysicalStateError(
-            f"symplectic eigenvalue d = 0.5 - {0.5 - low:.3g} is below the Heisenberg "
-            f"bound 0.5 by more than the slack PHYSICAL_TOL = {PHYSICAL_TOL:.0e}")
 
 
 def _violations(state: GaussianState, factorize):
@@ -125,8 +89,6 @@ def _violations(state: GaussianState, factorize):
     becomes a violation.  Returns (violations, its result), the result
     being None when it did not run or raised.
     """
-    from .williamson import _NotPositiveDefinite
-
     violations: list[str] = []
     if not np.isfinite(state.mean).all():
         violations.append("mean has non-finite entries")
@@ -139,7 +101,7 @@ def _violations(state: GaussianState, factorize):
         return violations, None
     try:
         return violations, factorize(state.cov)
-    except _NotPositiveDefinite as exc:
+    except williamson._NotPositiveDefinite as exc:
         violations.append(f"cov not positive definite: min eigenvalue {exc.min_eig:.3e}")
     except UnphysicalStateError as exc:
         violations.append(str(exc))
@@ -220,7 +182,7 @@ def gaussian_transform(state: GaussianState, L: np.ndarray,
     this pairing is the one that matches the dense Fock oracle and it keeps
     the divergence of a pair of states invariant when applied to both.
     """
-    L = np.asarray(L, dtype=float)
+    L = _real(L, "L")
     n = state.n
     if L.shape != (2 * n, 2 * n):
         raise ValueError(f"L must have shape {(2 * n, 2 * n)}, got {L.shape}")

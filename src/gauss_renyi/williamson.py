@@ -3,7 +3,10 @@
 Any real symmetric positive definite 2n x 2n matrix S can be brought to
 diagonal form D = diag(d_1..d_n, d_1..d_n) by a symplectic congruence
 L^T S L = D.  For a physical covariance the d_j are >= 1/2 and map to
-per-mode thermal parameters t_j via d = coth(t/2)/2.
+per-mode thermal parameters t_j via d = coth(t/2)/2.  The verdicts read
+off d live here with their thresholds: the Heisenberg bound
+(require_heisenberg), a faithful mode (d_to_t) and rho's pure modes
+(pure_mode_count).
 
 Both the spectrum d and the congruence L come from one Cholesky factor
 S = R R^T, which is also the positive-definiteness test, and one
@@ -18,11 +21,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DecompositionError
-from .states import PURE_TOL, SYMPLECTIC_TOL, require_heisenberg, symplectic_form
+from .exceptions import DecompositionError, UnphysicalStateError
 
+#: slack on the symplectic-eigenvalue bound d >= 1/2
+PHYSICAL_TOL = 1e-10
+#: residue allowed in the symplectic condition L^T J L = J
+SYMPLECTIC_TOL = 1e-10
+#: symplectic eigenvalues within this of 1/2 are treated as pure
+PURE_TOL = 1e-9
+#: a state counts as pure when max_ij |S_ij| <= PURE_FRAME and every
+#: computed d_j - 1/2 <= PURE_NOISE (7.1e-15).  PURE_TOL is far too coarse
+#: for this: a mode with d - 1/2 = 5e-10 has t = 21.4 and is mixed.  The
+#: rounding of a computed d grows with the squeezing of the frame, roughly
+#: as eps max|S|^2: a mode with d - 1/2 = 1e-13 (t = 29.9) squeezed by 3 in
+#: a random frame (max|S| = 120) reads -5.9e-13.  Up to max|S| = 2 it stays
+#: within 7.0, 9.5, 12.6 and 27.2 eps at n = 1, 4, 16 and 64, so in every
+#: frame a mode counts as pure only from t ~ 32 on; with d exact (an
+#: unsqueezed thermal mode) from t = 32.6 on: thermal_state(32) has
+#: d - 1/2 = 1.3e-14 and is mixed, thermal_state(33) 4.7e-15.  That moves
+#: D_alpha by -ln(1 - e^(-alpha t_Z)) / (1 - alpha), about e^(-alpha t_Z) at
+#: moderate alpha (1.4e-2 for t = 33 against s = 1.2 at alpha = 0.1); but
+#: as alpha -> 0, alpha t_Z -> s (1 - alpha) and it tends to
+#: -ln(1 - e^(-s)) (0.25 at alpha = 0.01, 0.36 in the limit, for s = 1.2).
+#: Pure states of squeeze <= 0.5 in random frames (max|S| <= 1.36) read at
+#: most 2.5, 4.0, 6.0, 6.5, 7.5 and 12.5 eps at n = 1, 4, 16, 32, 64 and 128.
+PURE_NOISE = 32 * np.finfo(float).eps
+PURE_FRAME = 2.0
 #: residue allowed in L^T S L - D, relative to max(1, d_max)
 DIAG_TOL = 1e-8
+
+
+def symplectic_form(n: int) -> np.ndarray:
+    """Return the 2n x 2n block form J = [[0, I], [-I, 0]]."""
+    j = np.zeros((2 * n, 2 * n))
+    j[:n, n:] = np.eye(n)
+    j[n:, :n] = -np.eye(n)
+    return j
+
+
+def require_heisenberg(d) -> None:
+    """Raise UnphysicalStateError if a symplectic eigenvalue in d is below
+    1/2 - PHYSICAL_TOL; the message says how far below 1/2 the lowest one is."""
+    low = float(d.min())
+    if low < 0.5 - PHYSICAL_TOL:
+        raise UnphysicalStateError(
+            f"symplectic eigenvalue d = 0.5 - {0.5 - low:.3g} is below the Heisenberg "
+            f"bound 0.5 by more than the slack PHYSICAL_TOL = {PHYSICAL_TOL:.0e}")
+
+
+def pure_mode_count(d, cov) -> int:
+    """Number of pure modes in the symplectic spectrum d of cov: those with
+    d_j - 1/2 <= PURE_NOISE, none unless max_ij |cov_ij| <= PURE_FRAME."""
+    return int((d - 0.5 <= PURE_NOISE).sum()) if float(abs(cov).max()) <= PURE_FRAME else 0
 
 
 class _NotPositiveDefinite(DecompositionError):
@@ -112,12 +162,7 @@ def t_to_d(t):
 
 def symplectic_eigenvalues(S: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a symmetric positive definite S, sorted descending;
-    for a stack of matrices (..., 2n, 2n), one spectrum per matrix.
-
-    Computed as the positive eigenvalues of the hermitian matrix i R^T J R,
-    with R the Cholesky factor of S, which is numerically stable and keeps
-    the result exactly real.
-    """
+    for a stack of matrices (..., 2n, 2n), one spectrum per matrix."""
     S = _check_symmetric(S)  # drops this frame's hold on an argument passed unnamed
     return _spectrum(S)[0]
 
@@ -148,8 +193,8 @@ def williamson_decompose(S: np.ndarray) -> WilliamsonForm:
     d, L = _spectrum(S, vectors=True)
     t = d_to_t(d)  # raises UnphysicalStateError below the Heisenberg bound
 
-    J = symplectic_form(n)
-    res_j = float(abs(L.T @ J @ L - J).max())
+    # J L is L's row blocks swapped, one negated: one product, none with J
+    res_j = float(abs(L.T @ np.concatenate([L[n:], -L[:n]]) - symplectic_form(n)).max())
     if res_j > SYMPLECTIC_TOL:
         raise DecompositionError(
             f"symplectic residue {res_j:.3e} > {SYMPLECTIC_TOL:.0e}; "
@@ -160,7 +205,6 @@ def williamson_decompose(S: np.ndarray) -> WilliamsonForm:
     if res_d > DIAG_TOL:
         raise DecompositionError(f"diagonalization residue {res_d:.3e} > {DIAG_TOL:.0e}")
 
-    d.flags.writeable = False
-    t.flags.writeable = False
-    L.flags.writeable = False
+    for a in (d, t, L):
+        a.flags.writeable = False
     return WilliamsonForm(L=L, d=d, t=t)

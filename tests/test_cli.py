@@ -449,6 +449,29 @@ def test_evaluation_commands_run_without_scipy(states, tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "scipy": []}
 
 
+#: runs CLI commands with the cross-check suite made unimportable, then
+#: prints their exit codes and whether the dense oracle got loaded
+SUITE_BLOCKED = """
+import json, sys
+sys.modules["gauss_renyi.verify"] = None
+from gauss_renyi.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "fock": "gauss_renyi.fock" in sys.modules}))
+"""
+
+
+def test_evaluation_commands_run_without_the_suite(states):
+    commands = [
+        ["entropy", "--alpha", "0.5", states["rho"], states["sigma"]],
+        ["sweep", "--alphas", "0.3,0.7", states["coherent"], states["sigma"]],
+        ["williamson", states["rho"]],
+        ["convert", states["coherent"]],
+    ]
+    proc = python_process("-c", SUITE_BLOCKED, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "fock": False}
+
+
 def test_verify_process_loads_the_oracle():
     proc = cli_process("verify", "--suite", "trace")
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -16,11 +16,12 @@ from gauss_renyi.entropy import (EntropyReport, fractional_power_contraction,
                                  sandwiched_renyi, sandwiched_renyi_sweep)
 from gauss_renyi.exceptions import (AlphaRangeError, NotFaithfulError,
                                     NotTraceClassError, UnphysicalStateError)
-from gauss_renyi.kernel import LAM_PSD_TOL, state_to_kernel
+from gauss_renyi.kernel import state_to_kernel
 from gauss_renyi.sampling import random_faithful_state, random_symplectic
-from gauss_renyi.states import (PURE_FRAME, GaussianState, coherent_state, gaussian_transform,
+from gauss_renyi.states import (GaussianState, coherent_state, gaussian_transform,
                                 squeezed_vacuum, tensor, thermal_state)
 from gauss_renyi.verify import coherent_thermal_divergence, thermal_series_divergence
+from gauss_renyi.williamson import PHYSICAL_TOL, PURE_FRAME
 
 LN2 = math.log(2.0)
 
@@ -492,7 +493,7 @@ def test_near_bound_verdict_is_frame_invariant(frame, gap, accepted):
                 else:
                     evaluate()
         if accepted:
-            assert np.linalg.eigvalsh(state_to_kernel(state).lam).min() >= -LAM_PSD_TOL
+            assert np.linalg.eigvalsh(state_to_kernel(state).lam).min() >= -PHYSICAL_TOL
 
 
 @pytest.mark.parametrize("r", [0.0, 2.0, 5.0])

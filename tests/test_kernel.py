@@ -16,7 +16,8 @@ from gauss_renyi.kernel import (CoherentKernel, apply_contraction,
 from gauss_renyi.recipes import phase_congruence
 from gauss_renyi.sampling import random_faithful_state
 from gauss_renyi.states import (GaussianState, coherent_state, gaussian_transform,
-                                squeezed_vacuum, symplectic_form, thermal_state)
+                                squeezed_vacuum, thermal_state)
+from gauss_renyi.williamson import symplectic_form
 
 LN2 = math.log(2.0)
 

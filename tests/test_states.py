@@ -1,19 +1,21 @@
 """Constructors, validation, and symplectic transport of Gaussian states."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import symplectic_residual
+import gauss_renyi.williamson as williamson
 from gauss_renyi.exceptions import UnphysicalStateError
 from gauss_renyi.sampling import random_faithful_state, random_symplectic
 from gauss_renyi.states import (GaussianState, coherent_state,
                                 gaussian_transform,
                                 require_physical, squeezed_vacuum,
-                                symplectic_form, tensor, thermal_state,
+                                tensor, thermal_state,
                                 validate_state)
-from gauss_renyi.williamson import d_to_t
+from gauss_renyi.williamson import d_to_t, symplectic_form
 
 LN2 = math.log(2.0)
 
@@ -176,3 +178,45 @@ def test_bad_shapes_rejected():
         GaussianState(np.zeros(3), np.eye(3))
     with pytest.raises(ValueError):
         GaussianState(np.zeros(2), np.eye(4))
+
+
+def test_zero_modes_rejected():
+    # an n = 0 state has no spectrum, so the checks would die on an empty
+    # reduction; it is refused where it is built, like thermal_state([])
+    with pytest.raises(ValueError, match=r"cov must be a 2n x 2n matrix, got shape \(0, 0\)"):
+        GaussianState(np.zeros(0), np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=r"got shape \(0, 0\)"):
+        coherent_state([])
+
+
+@pytest.mark.parametrize("field,imag", [("mean", [0.4, 0.0]),
+                                        ("cov", [[0.0, 0.4], [-0.4, 0.0]])])
+def test_complex_field_rejected_unless_exactly_real(field, imag):
+    fields = {"mean": np.zeros(2, dtype=complex), "cov": np.eye(2, dtype=complex)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an exactly real array converts without a ComplexWarning
+        state = GaussianState(**fields)
+    assert state.mean.dtype == state.cov.dtype == float
+    assert np.array_equal(state.cov, np.eye(2))
+    # dropping the imaginary part would hand the pipeline another state
+    fields[field] = fields[field] + 1j * np.array(imag)
+    with pytest.raises(ValueError, match=f"{field} must be real"):
+        GaussianState(**fields)
+
+
+def test_checks_look_up_the_spectrum_in_williamson(monkeypatch):
+    # perfbench counts williamson.symplectic_eigenvalues by wrapping that
+    # module attribute, so each check must reach it through the module
+    calls = []
+    spectrum = williamson.symplectic_eigenvalues
+
+    def counted(S):
+        calls.append(S.shape)
+        return spectrum(S)
+
+    monkeypatch.setattr(williamson, "symplectic_eigenvalues", counted)
+    state = thermal_state([1.0, 2.0])
+    require_physical(state)
+    assert calls == [(4, 4)]
+    assert validate_state(state) == []
+    assert calls == [(4, 4)] * 2
