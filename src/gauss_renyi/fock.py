@@ -19,8 +19,6 @@ import numpy as np
 
 from .exceptions import AlphaRangeError, NotFaithfulError
 from .recipes import Recipe
-from .states import GaussianState
-from .williamson import symplectic_form
 
 #: dense matrices must be hermitian to this max-abs tolerance
 HERMITIAN_TOL = 1e-10
@@ -122,26 +120,6 @@ def state_to_fock(recipe: Recipe, cutoff: int) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def exponential_vector(u, cutoff: int) -> np.ndarray:
-    """Truncated exponential vector |e(u)>, coefficients u^k / sqrt(k!)."""
-    u = np.atleast_1d(np.asarray(u, dtype=complex))
-    out = np.array([1.0 + 0j])
-    for comp in u:
-        coeffs = np.empty(cutoff, dtype=complex)
-        coeffs[0] = 1.0
-        for k in range(1, cutoff):
-            coeffs[k] = coeffs[k - 1] * comp / np.sqrt(k)
-        out = np.kron(out, coeffs)
-    return out
-
-
-def kernel_element(rho: np.ndarray, u, v, cutoff: int) -> complex:
-    """Dense matrix element <e(conj(u)) | rho | e(v)>."""
-    bra = exponential_vector(np.conj(np.atleast_1d(np.asarray(u, dtype=complex))), cutoff)
-    ket = exponential_vector(v, cutoff)
-    return complex(np.vdot(bra, rho @ ket))
-
-
 def gamma_contraction(k, n_modes: int, cutoff: int) -> np.ndarray:
     """Second quantization of a diagonal contraction: diag over |k1..kn> of
     prod_i k_i^{k_i}."""
@@ -150,30 +128,6 @@ def gamma_contraction(k, n_modes: int, cutoff: int) -> np.ndarray:
     for i in range(n_modes):
         out = np.kron(out, np.diag(k[i] ** np.arange(cutoff)).astype(complex))
     return out
-
-
-def dense_moments(rho: np.ndarray, n_modes: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of a dense state, in the library's conventions.
-
-    Quadrature moments are computed brute force from q = (a + a+)/sqrt(2),
-    p = -i (a - a+)/sqrt(2); the returned pair uses the package's block
-    ordering and sign conventions, i.e. mean = (Re conj<a>, Im conj<a>) and
-    covariance J V J^T with V the (q, p) covariance.
-    """
-    a_ops = [embed(annihilator(cutoff), m, n_modes, cutoff) for m in range(n_modes)]
-    gamma = np.array([np.trace(rho @ a) for a in a_ops])
-    quads = [(a + a.conj().T) / np.sqrt(2) for a in a_ops] + \
-            [-1j * (a - a.conj().T) / np.sqrt(2) for a in a_ops]
-    x_mean = np.array([np.trace(rho @ x).real for x in quads])
-    V = np.empty((2 * n_modes, 2 * n_modes))
-    centered = [x - m * np.eye(x.shape[0]) for x, m in zip(quads, x_mean)]
-    for i in range(2 * n_modes):
-        for j in range(i, 2 * n_modes):
-            V[i, j] = V[j, i] = 0.5 * np.trace(
-                rho @ (centered[i] @ centered[j] + centered[j] @ centered[i])).real
-    J = symplectic_form(n_modes)
-    mean = np.concatenate([gamma.real, -gamma.imag])
-    return mean, J @ V @ J.T
 
 
 def _checked_hermitian(mat: np.ndarray, label: str) -> np.ndarray:
@@ -230,15 +184,3 @@ def dense_renyi_converged(rho_recipe: Recipe, sigma_recipe: Recipe, alpha: float
                                 state_to_fock(sigma_recipe, guard_cutoff), alpha,
                                 eig_floor=eig_floor)
     return hi, abs(hi - lo)
-
-
-def moments_match(recipe: Recipe, state: GaussianState, cutoff: int,
-                  tol: float = 1e-4) -> float:
-    """Max deviation between dense moments of a recipe and a GaussianState."""
-    rho = state_to_fock(recipe, cutoff)
-    mean, cov = dense_moments(rho, recipe.n, cutoff)
-    dev = max(float(np.max(np.abs(mean - state.mean))),
-              float(np.max(np.abs(cov - state.cov))))
-    if dev > tol:
-        raise ValueError(f"recipe moments deviate from state by {dev:.3e} > {tol:.0e}")
-    return dev

@@ -20,7 +20,10 @@ of contractions, are w w^T o B + diag(1, ..., 1, 0), w = (k, k, 1), for one
 stacked Cholesky.  A plain kernel is traced as its contraction by k = 1,
 and kernel_to_state reads M off the same base.  B is kept as its Lam part
 (with the border) and its pair part, each scaled by w w^T before they are
-added, which rounds as forming M from K A K and K Lam K does.
+added.  That order fixes the rounding of the t_Z covariance fallback's
+values, which acceptance criterion 7 rests on: one summed base moved
+small-alpha fallback values by up to 4e-5.  The split can go with the
+fallback.
 log_kernel_trace and form_inverse work on every entry at once through
 numpy.linalg's stacked (..., m, m) routines.  NumPy has no triangular
 solver, so Cholesky factors are never handed to its LU-based solve or inv:
@@ -90,8 +93,9 @@ class CoherentKernel:
         """The bordered base [[M - I, b], [b^T, _BORDER]], b = (Re mu, -Im mu),
         as P + Q, with P = -[[Re lam, -Im lam], [Im lam, Re lam]] bordered by
         b and _BORDER, and Q = -2 [[Re A, Im A], [Im A, -Re A]] by zeros.  A
-        contraction scales both by w w^T; summed after the scaling, they round
-        as M(K A K, K lam K) does, bit for bit.
+        contraction scales both by w w^T, and they are summed after the
+        scaling: the t_Z fallback's values, and acceptance criterion 7, rest
+        on that rounding (see the module docstring).
         """
         n, m = self.n, 2 * self.n
         lam, A = self.lam, self.A
@@ -363,16 +367,3 @@ def apply_contraction(kernel: CoherentKernel | ContractedKernel, k: np.ndarray) 
         kernel, k = kernel.parent, kernel.k * k
     k.flags.writeable = False
     return ContractedKernel(kernel, k)
-
-
-def evaluate_kernel(kernel: CoherentKernel, u: np.ndarray, v: np.ndarray) -> complex:
-    """Evaluate exp(ln c + conj(mu).u + mu.v + u.Au + u.Lam v + v.conj(A)v).
-
-    This is the predicted matrix element <e(conj(u)) | Z | e(v)>; the dense
-    Fock oracle computes the same quantity independently.
-    """
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    expo = (kernel.log_c + kernel.mu.conj() @ u + kernel.mu @ v + u @ kernel.A @ u
-            + u @ kernel.lam @ v + v @ kernel.A.conj() @ v)
-    return complex(np.exp(expo))

@@ -48,7 +48,7 @@ class GaussianState:
         cov = np.array(_real(self.cov, "cov"))
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 or not cov.size:
             raise ValueError(f"cov must be a 2n x 2n matrix, got shape {cov.shape}")
-        mean = _as_real_vector(self.mean, cov.shape[0], "mean")
+        mean = np.array(_as_real_vector(self.mean, cov.shape[0], "mean"))
         mean.flags.writeable = False
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)

@@ -10,13 +10,12 @@ import math
 import numpy as np
 
 from conftest import ACCEPTANCE_LINES
-from helpers import (analytic_coherent_thermal, series_thermal_divergence,
-                     symplectic_residual)
+from helpers import (analytic_coherent_thermal, evaluate_kernel, kernel_element,
+                     series_thermal_divergence, symplectic_residual)
 from gauss_renyi import fock
 from gauss_renyi.entropy import fractional_power_contraction, sandwiched_renyi
-from gauss_renyi.kernel import (apply_contraction, evaluate_kernel,
-                                kernel_to_state, log_kernel_trace,
-                                state_to_kernel)
+from gauss_renyi.kernel import (apply_contraction, kernel_to_state,
+                                log_kernel_trace, state_to_kernel)
 from gauss_renyi.recipes import Recipe, recipe_to_state
 from gauss_renyi.sampling import random_faithful_state, random_symplectic
 from gauss_renyi.states import coherent_state, gaussian_transform, thermal_state
@@ -224,7 +223,7 @@ def test_8_generating_function_audit():
         kernel = state_to_kernel(recipe_to_state(recipe))
         for u in grid:
             for v in grid:
-                dense = fock.kernel_element(rho_d, u, v, cutoff)
+                dense = kernel_element(rho_d, u, v, cutoff)
                 closed = evaluate_kernel(kernel, [u], [v])
                 worst = max(worst, abs(dense - closed))
     _verdict("8 kernel audit", worst <= 1e-6,

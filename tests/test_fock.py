@@ -5,12 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from helpers import series_thermal_divergence
+from helpers import evaluate_kernel, kernel_element, moments_match, series_thermal_divergence
 from gauss_renyi import fock
 from gauss_renyi.exceptions import AlphaRangeError
 from gauss_renyi.recipes import Recipe, recipe_to_state
 
 LN2 = math.log(2.0)
+
+
+def test_dense_oracle_shares_nothing_with_the_pipeline():
+    # the module docstring's promise: no Williamson decomposition and no
+    # generating-kernel algebra, so agreement with the closed forms is evidence
+    pipeline = {f"gauss_renyi.{name}" for name in ("states", "williamson", "kernel", "entropy")}
+    borrowed = {name for name, obj in vars(fock).items()
+                if callable(obj) and getattr(obj, "__module__", None) in pipeline}
+    assert borrowed == set()
 
 
 def test_annihilator_commutator():
@@ -83,7 +92,7 @@ RECIPES_1MODE = [
 
 @pytest.mark.parametrize("recipe", RECIPES_1MODE)
 def test_recipe_moments_agree_one_mode(recipe):
-    dev = fock.moments_match(recipe, recipe_to_state(recipe), cutoff=50, tol=1e-6)
+    dev = moments_match(recipe, recipe_to_state(recipe), cutoff=50, tol=1e-6)
     assert dev < 1e-6
 
 
@@ -93,21 +102,21 @@ def test_recipe_moments_agree_two_mode():
     recipe = Recipe((0.7, 1.1), (("squeeze", 0, 0.3), ("beamsplit", 0.6),
                                  ("phase", 1, 0.5), ("displace", 1, 0.4j)))
     state = recipe_to_state(recipe)
-    coarse = fock.moments_match(recipe, state, cutoff=18, tol=1e-1)
-    fine = fock.moments_match(recipe, state, cutoff=26, tol=1e-3)
+    coarse = moments_match(recipe, state, cutoff=18, tol=1e-1)
+    fine = moments_match(recipe, state, cutoff=26, tol=1e-3)
     assert fine < 1e-3
     assert fine < 0.2 * coarse
 
 
 @pytest.mark.parametrize("recipe", RECIPES_1MODE)
 def test_dense_kernel_elements_match_closed_form(recipe):
-    from gauss_renyi.kernel import evaluate_kernel, state_to_kernel
+    from gauss_renyi.kernel import state_to_kernel
     cutoff = 60
     rho = fock.state_to_fock(recipe, cutoff)
     kernel = state_to_kernel(recipe_to_state(recipe))
     for u in (0.0, 0.25, 0.2 - 0.1j):
         for v in (0.0, -0.15j, 0.1 + 0.2j):
-            dense = fock.kernel_element(rho, u, v, cutoff)
+            dense = kernel_element(rho, u, v, cutoff)
             closed = evaluate_kernel(kernel, [u], [v])
             assert abs(dense - closed) < 1e-8
 

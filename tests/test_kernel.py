@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import analytic_coherent_thermal
+from helpers import analytic_coherent_thermal, evaluate_kernel
 from gauss_renyi.entropy import (fractional_power_contraction, reduce_to_thermal,
                                  sandwiched_renyi)
 from gauss_renyi.exceptions import NotTraceClassError, UnphysicalStateError
 from gauss_renyi.kernel import (CoherentKernel, apply_contraction,
-                                evaluate_kernel, kernel_to_state,
-                                log_kernel_trace, lower_triangular_inverse,
-                                state_to_kernel)
+                                kernel_to_state, log_kernel_trace,
+                                lower_triangular_inverse, state_to_kernel)
 from gauss_renyi.recipes import phase_congruence
 from gauss_renyi.sampling import random_faithful_state
 from gauss_renyi.states import (GaussianState, coherent_state, gaussian_transform,

@@ -180,6 +180,18 @@ def test_bad_shapes_rejected():
         GaussianState(np.zeros(2), np.eye(4))
 
 
+def test_state_leaves_the_callers_arrays_writable():
+    # the state freezes copies: the caller may go on writing to its arrays,
+    # and the state keeps the values it was built from
+    mean, cov = np.zeros(2), np.eye(2)
+    state = GaussianState(mean, cov)
+    mean[0] = 1.0
+    cov[0, 0] = 2.0
+    assert np.array_equal(state.mean, [0.0, 0.0])
+    assert np.array_equal(state.cov, np.eye(2))
+    assert not state.mean.flags.writeable and not state.cov.flags.writeable
+
+
 def test_zero_modes_rejected():
     # an n = 0 state has no spectrum, so the checks would die on an empty
     # reduction; it is refused where it is built, like thermal_state([])
