@@ -39,8 +39,8 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import NotTraceClassError, UnphysicalStateError
-from .states import SYMMETRY_TOL, GaussianState
-from .williamson import PHYSICAL_TOL
+from .states import GaussianState
+from .williamson import PHYSICAL_TOL, SYMMETRY_TOL
 
 #: minimum squared Cholesky pivot of the real form matrix for trace-class
 #: operators

@@ -3,10 +3,10 @@
 Any real symmetric positive definite 2n x 2n matrix S can be brought to
 diagonal form D = diag(d_1..d_n, d_1..d_n) by a symplectic congruence
 L^T S L = D.  For a physical covariance the d_j are >= 1/2 and map to
-per-mode thermal parameters t_j via d = coth(t/2)/2.  The verdicts read
-off d live here with their thresholds: the Heisenberg bound
-(require_heisenberg), a faithful mode (d_to_t) and rho's pure modes
-(pure_mode_count).
+per-mode thermal parameters t_j via d = coth(t/2)/2.  Every check of a
+covariance lives here: real, finite, symmetric (SYMMETRY_TOL), positive
+definite, and the verdicts read off d with their thresholds: the Heisenberg
+bound (require_heisenberg), faithful (d_to_t) and pure modes (pure_mode_count).
 
 Both the spectrum d and the congruence L come from one Cholesky factor
 S = R R^T, which is also the positive-definiteness test, and one
@@ -23,6 +23,8 @@ import numpy as np
 
 from .exceptions import DecompositionError, UnphysicalStateError
 
+#: max allowed asymmetry of a covariance matrix
+SYMMETRY_TOL = 1e-12
 #: slack on the symplectic-eigenvalue bound d >= 1/2
 PHYSICAL_TOL = 1e-10
 #: residue allowed in the symplectic condition L^T J L = J
@@ -61,10 +63,11 @@ def symplectic_form(n: int) -> np.ndarray:
 
 def require_heisenberg(d) -> None:
     """Raise UnphysicalStateError if a symplectic eigenvalue in d is below
-    1/2 - PHYSICAL_TOL; the message says how far below 1/2 the lowest one is."""
-    low = float(d.min())
-    if low < 0.5 - PHYSICAL_TOL:
+    1/2 - PHYSICAL_TOL or NaN; the message says how far below 1/2 the lowest one is."""
+    low = float(d.min())  # NaN if any d is
+    if not low >= 0.5 - PHYSICAL_TOL:
         raise UnphysicalStateError(
+            "symplectic eigenvalue d is NaN" if np.isnan(low) else
             f"symplectic eigenvalue d = 0.5 - {0.5 - low:.3g} is below the Heisenberg "
             f"bound 0.5 by more than the slack PHYSICAL_TOL = {PHYSICAL_TOL:.0e}")
 
@@ -75,25 +78,33 @@ def pure_mode_count(d, cov) -> int:
     return int((d - 0.5 <= PURE_NOISE).sum()) if float(abs(cov).max()) <= PURE_FRAME else 0
 
 
-class _NotPositiveDefinite(DecompositionError):
-    """The matrix is not positive definite; min_eig is its smallest eigenvalue."""
+def _real(x, name: str) -> np.ndarray:
+    """x as a float array; ValueError if it has a nonzero imaginary part."""
+    if np.iscomplexobj(x) and np.imag(x).any():
+        raise ValueError(f"{name} must be real, got a nonzero imaginary part")
+    return np.asarray(np.real(x), dtype=float)
 
-    def __init__(self, min_eig: float) -> None:
-        super().__init__(f"matrix not positive definite: min eigenvalue {min_eig:.3e}")
-        self.min_eig = min_eig
+
+class _NotCovariance(DecompositionError):
+    """The matrix is not finite, symmetric and positive definite; problem says how."""
+
+    def __init__(self, problem: str) -> None:
+        super().__init__(f"matrix {problem}")
+        self.problem = problem
 
 
 def _check_symmetric(S: np.ndarray) -> np.ndarray:
-    """S as a float array of 2n x 2n matrices, over any leading axes, symmetrized."""
-    S = np.asarray(S, dtype=float)
-    if S.ndim < 2 or S.shape[-1] != S.shape[-2] or S.shape[-1] % 2:
+    """S as a float array of 2n x 2n matrices, over any leading axes, symmetrized;
+    _NotCovariance if an entry is not finite or the asymmetry > SYMMETRY_TOL."""
+    S = _real(S, "matrix")
+    if S.ndim < 2 or S.shape[-1] != S.shape[-2] or S.shape[-1] % 2 or not S.size:
         raise ValueError(f"expected a 2n x 2n matrix, got shape {S.shape}")
     if not np.isfinite(S).all():
-        raise ValueError("array must not contain infs or NaNs")
+        raise _NotCovariance("has non-finite entries")
     St = S.swapaxes(-1, -2)
     asym = float(np.abs(S - St).max())
-    if asym > SYMPLECTIC_TOL:
-        raise DecompositionError(f"matrix not symmetric: max asymmetry {asym:.3e}")
+    if asym > SYMMETRY_TOL:
+        raise _NotCovariance(f"not symmetric: max asymmetry {asym:.3e} > {SYMMETRY_TOL:.0e}")
     return 0.5 * (S + St)
 
 
@@ -110,14 +121,15 @@ def _spectrum(S: np.ndarray, vectors: bool = False):
     works.  No solve is needed: i R^T (J R) V = V diag(d) gives R^{-T} V =
     i W / d with W = (J R) V, so L = sqrt2 [Re W, -Im W] diag(1/sqrt d, 1/sqrt d).
     Each column's phase makes V's largest-modulus entry positive imaginary, so
-    L is deterministic.  Raises _NotPositiveDefinite when the Cholesky fails.
+    L is deterministic.  Raises _NotCovariance when the Cholesky fails.
     Without vectors, S must be a C-contiguous array of the caller's own
     (_check_symmetric's), which is overwritten.
     """
     try:
         R = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        raise _NotPositiveDefinite(float(np.min(np.linalg.eigvalsh(S)[..., 0]))) from None
+        min_eig = float(np.min(np.linalg.eigvalsh(S)[..., 0]))
+        raise _NotCovariance(f"not positive definite: min eigenvalue {min_eig:.3e}") from None
     n = S.shape[-1] // 2
     # J R: R's row blocks swapped, one negated.  Without vectors, S's buffer
     # holds J R and then skew - skew^T, so that each temporary is freed as
@@ -189,6 +201,8 @@ def williamson_decompose(S: np.ndarray) -> WilliamsonForm:
     diagonalization residues exceed tolerance, and UnphysicalStateError below the Heisenberg bound.
     """
     S = _check_symmetric(S)
+    if S.ndim > 2:
+        raise ValueError(f"expected one 2n x 2n matrix, got a stack of shape {S.shape}")
     n = S.shape[0] // 2
     d, L = _spectrum(S, vectors=True)
     t = d_to_t(d)  # raises UnphysicalStateError below the Heisenberg bound

@@ -232,3 +232,29 @@ def test_checks_look_up_the_spectrum_in_williamson(monkeypatch):
     assert calls == [(4, 4)]
     assert validate_state(state) == []
     assert calls == [(4, 4)] * 2
+
+
+def _cov(entry, value):
+    cov = np.eye(2)
+    cov[entry] = value
+    return cov
+
+
+HEISENBERG = ("symplectic eigenvalue d = 0.5 - 0.1 is below the Heisenberg "
+              "bound 0.5 by more than the slack PHYSICAL_TOL = 1e-10")
+
+
+@pytest.mark.parametrize("mean,cov,expected", [
+    ([np.nan, 0.0], np.eye(2), ["mean has non-finite entries"]),
+    ([0.0, 0.0], _cov((0, 0), np.inf), ["cov has non-finite entries"]),
+    ([np.nan, 0.0], _cov((0, 0), np.inf),
+     ["mean has non-finite entries", "cov has non-finite entries"]),
+    ([0.0, 0.0], _cov((0, 1), 1e-11),
+     ["cov not symmetric: max asymmetry 1.000e-11 > 1e-12"]),
+    ([0.0, 0.0], _cov((1, 1), -1.0), ["cov not positive definite: min eigenvalue -1.000e+00"]),
+    ([0.0, 0.0], 0.4 * np.eye(2), [HEISENBERG]),
+], ids=["nan-mean", "inf-cov", "nan-mean-inf-cov", "asymmetry-1e-11", "indefinite",
+        "sub-heisenberg"])
+def test_validate_state_messages(mean, cov, expected):
+    # the CLI prints these, so their text and order are pinned
+    assert validate_state(GaussianState(np.array(mean), cov)) == expected

@@ -29,9 +29,11 @@ def test_d_t_round_trip():
     assert np.allclose(d_to_t(t_to_d(t)), t, rtol=1e-10)
 
 
-def test_d_to_t_rejects_sub_heisenberg():
-    with pytest.raises(UnphysicalStateError):
-        d_to_t(0.49)
+@pytest.mark.parametrize("d", [0.49, np.nan])
+def test_d_to_t_rejects_sub_heisenberg(d):
+    # NaN compares false with the bound, so the check must not read "d < bound"
+    with pytest.raises(UnphysicalStateError, match="NaN" if np.isnan(d) else "below"):
+        d_to_t(d)
 
 
 def test_symplectic_eigenvalues_thermal():
@@ -115,11 +117,34 @@ def test_unphysical_covariance_rejected():
         williamson_decompose(0.3 * np.eye(2))
 
 
-def test_asymmetric_rejected():
+def _bad(entry, value):
     bad = np.eye(2)
-    bad[0, 1] = 0.01
-    with pytest.raises(DecompositionError):
-        williamson_decompose(bad)
+    bad[entry] = value
+    return bad
+
+
+_NOT_COVARIANCE = {
+    "asymmetry-1e-2": (_bad((0, 1), 0.01), DecompositionError,
+                       r"matrix not symmetric: max asymmetry 1\.000e-02"),
+    "asymmetry-1e-11": (_bad((0, 1), 1e-11), DecompositionError,
+                        r"matrix not symmetric: max asymmetry 1\.000e-11 > 1e-12"),
+    "nan": (_bad((0, 0), np.nan), DecompositionError, "matrix has non-finite entries"),
+    "imaginary": (np.eye(2) + 1j * np.array([[0, 1], [-1, 0]]), ValueError, "matrix must be real"),
+    "empty": (np.zeros((0, 0)), ValueError, r"got shape \(0, 0\)"),
+}
+
+
+@pytest.mark.parametrize("check,bad,error,message", [
+    pytest.param(check, *case, id=f"{check.__name__}-{name}")
+    for check in (symplectic_eigenvalues, williamson_decompose)
+    for name, case in _NOT_COVARIANCE.items()
+] + [pytest.param(williamson_decompose, np.stack([np.eye(2)] * 3), ValueError,
+                  r"stack of shape \(3, 2, 2\)", id="williamson_decompose-stack")])
+def test_asymmetric_rejected(check, bad, error, message):
+    # the verdicts GaussianState and validate_state give, with williamson's own
+    # messages; symplectic_eigenvalues takes a stack, the normal form one matrix
+    with pytest.raises(error, match=message):
+        check(bad)
 
 
 def test_three_mode_ordering(rng):
