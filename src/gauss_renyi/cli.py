@@ -117,13 +117,14 @@ def cmd_convert(args) -> int:
     state = load_state(args.state)
     require_physical(state, "state")
     kernel = state_to_kernel(state)
+    mu, A, lam = kernel.quadruple()
     _emit({
         "n": state.n,
         "c": json_number(math.exp(kernel.log_c)),
         "ln_c": json_number(kernel.log_c),
-        "mu": [_pair(z) for z in kernel.mu],
-        "A": [[_pair(z) for z in row] for row in kernel.A],
-        "Lambda": [[_pair(z) for z in row] for row in kernel.lam],
+        "mu": [_pair(z) for z in mu],
+        "A": [[_pair(z) for z in row] for row in A],
+        "Lambda": [[_pair(z) for z in row] for row in lam],
         "state_roundtrip": state_to_json(kernel_to_state(kernel)),
     }, args.format)
     return 0

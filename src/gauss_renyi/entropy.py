@@ -149,30 +149,33 @@ def _contracted_thermal_parameters(z: ContractedKernel) -> np.ndarray:
     stacked eigvalsh gives both; max_j Lambda_jj <= lambda_max screens out,
     before any eigensolve, the orders whose norm must exceed the gate.  The
     screen reads max k_i k_j |A'_ij| and k_j^2 Lambda'_jj off the parent
-    kernel (A', Lambda'), and K Lambda' K is formed only for the orders that
-    pass it.  The other orders fall back on the symplectic spectrum of the
-    covariance, whose gap above 1/2 resolves e^(-t_Z) only down to the
-    eigensolver noise floor.  It is taken of M^{-1} - I/2 = J S J^T, which
-    has the spectrum of the covariance S without its J-congruence, and
-    M^{-1} comes from the form-matrix Cholesky factor that log_kernel_trace
-    has taken.  That matrix is handed on unnamed, so the spectrum's stage
-    frees it once it has its symmetrized copy.
+    kernel's base (P, Q): |A'| = hypot(Q11, Q12) / 2 and
+    Lambda' = -(P11 + i P21), which is formed only for the eigvalsh of the
+    orders that pass it.  The other orders fall back on the symplectic
+    spectrum of the covariance, whose gap above 1/2 resolves e^(-t_Z) only
+    down to the eigensolver noise floor.  It is taken of
+    M^{-1} - I/2 = J S J^T, which has the spectrum of the covariance S
+    without its J-congruence, and M^{-1} comes from the form-matrix
+    Cholesky factor that log_kernel_trace has taken.  That matrix is handed
+    on unnamed, so the spectrum's stage frees it once it has its
+    symmetrized copy.
     """
-    k, parent = z.k, z.parent
+    k, (P, Q) = z.k, z.parent._form_base
+    n = k.shape[-1]
     t = np.empty(k.shape)
     outer = k[:, :, None] * k[:, None, :]
-    free = (((outer * abs(parent.A)).max(axis=(-2, -1)) <= PAIR_FREE_GATE)
-            & ((outer.diagonal(0, -2, -1) * parent.lam.diagonal().real).max(axis=-1)
-               <= LAMBDA_GATE))
+    free = (((outer * (0.5 * np.hypot(Q[:n, :n], Q[:n, n:-1]))).max(axis=(-2, -1))
+             <= PAIR_FREE_GATE)
+            & ((outer.diagonal(0, -2, -1) * -P.diagonal()[:n]).max(axis=-1) <= LAMBDA_GATE))
     if free.any():
-        lam = np.linalg.eigvalsh(outer[free] * parent.lam)
+        lam = np.linalg.eigvalsh(outer[free] * -(P[:n, :n] + 1j * P[n:-1, :n]))
         inside = abs(lam).max(axis=-1) <= LAMBDA_GATE  # ||Lambda||_2 <= LAMBDA_GATE
         free[free] = inside
         lam = lam[inside]
         t[free] = np.where(lam > 0.0, -np.log(np.where(lam > 0.0, lam, 1.0)), np.inf)
     del outer  # the fallback below holds the stage's largest arrays
     if not free.all():
-        d = symplectic_eigenvalues(form_inverse(z, ~free) - 0.5 * np.eye(2 * k.shape[-1]))
+        d = symplectic_eigenvalues(form_inverse(z, ~free) - 0.5 * np.eye(2 * n))
         t[~free] = d_to_t(d, pure_tol=COV_GAP_FLOOR)
     t.sort(axis=-1)
     return t

@@ -5,25 +5,30 @@ A positive operator Z on n modes whose matrix elements between exponential
 
     <e(conj(u)) | Z | e(v)> = c * exp(l.u + mu.v + u.A u + u.Lam v + v.B v)
 
-is described here by the quadruple (ln c, mu, A, Lam); positivity forces
-l = conj(mu) and B = conj(A), with A complex symmetric and Lam hermitian
-positive semidefinite.  Gaussian states, their fractional-power sandwiches
-and their traces all have closed forms in this parametrization.
+has the E2 parameters (ln c, mu, A, Lam); positivity forces l = conj(mu)
+and B = conj(A), with A complex symmetric and Lam hermitian positive
+semidefinite.  A kernel is kept as the real record (ln c, M, b)
+(CoherentKernel): the form matrix
 
-Everything built from the real form matrix M of a kernel and its linear
-term b = (Re mu, -Im mu) comes from one base per kernel, the bordered
+    M = I - [[Re Lam, -Im Lam], [Im Lam, Re Lam]] - 2 [[Re A, Im A], [Im A, -Re A]]
+
+and the linear term b = (Re mu, -Im mu).  A Gaussian state's M is
+J G J^T with G = (I/2 + S)^{-1}, a copy of G's blocks (state_to_kernel),
+and the complex quadruple is formed only where it is shown
+(CoherentKernel.quadruple).
+
+Everything built from M and b comes from one base per kernel, the bordered
 B = [[M - I, b], [b^T, _BORDER]] (CoherentKernel._form_base).  A diagonal
 contraction K = diag(k) maps M to I - K~ (I - M) K~ and b to K~ b, with
 K~ = diag(k, k), so a contracted kernel is the record (parent, k)
 (ContractedKernel), and its bordered form matrices, one per row of a stack
 of contractions, are w w^T o B + diag(1, ..., 1, 0), w = (k, k, 1), for one
-stacked Cholesky.  A plain kernel is traced as its contraction by k = 1,
-and kernel_to_state reads M off the same base.  B is kept as its Lam part
-(with the border) and its pair part, each scaled by w w^T before they are
-added.  That order fixes the rounding of the t_Z covariance fallback's
-values, which acceptance criterion 7 rests on: one summed base moved
-small-alpha fallback values by up to 4e-5.  The split can go with the
-fallback.
+stacked Cholesky.  A plain kernel is traced as its contraction by k = 1.
+B is kept as its Lam part P = (M + J^T M J)/2 - I (with the border) and its
+pair part Q = (M - J^T M J)/2, each scaled by w w^T before they are added.
+That order fixes the rounding of the t_Z covariance fallback's values,
+which acceptance criterion 7 rests on: one summed base moved small-alpha
+fallback values by up to 4e-5.  The split can go with the fallback.
 log_kernel_trace and form_inverse work on every entry at once through
 numpy.linalg's stacked (..., m, m) routines.  NumPy has no triangular
 solver, so Cholesky factors are never handed to its LU-based solve or inv:
@@ -40,7 +45,6 @@ import numpy as np
 
 from .exceptions import NotTraceClassError, UnphysicalStateError
 from .states import GaussianState
-from .williamson import PHYSICAL_TOL, SYMMETRY_TOL
 
 #: minimum squared Cholesky pivot of the real form matrix for trace-class
 #: operators
@@ -60,68 +64,53 @@ _TRI_LEAF = 16
 
 @dataclass(frozen=True)
 class CoherentKernel:
-    """Parameters (ln c, mu, A, lam) of a positive Gaussian generating kernel."""
+    """Real record (ln c, M, b) of a positive Gaussian generating kernel."""
 
     log_c: float
-    mu: np.ndarray
-    A: np.ndarray
-    lam: np.ndarray
-
-    def __post_init__(self) -> None:
-        mu = np.asarray(self.mu, dtype=complex).reshape(-1)
-        n = mu.size
-        A = np.asarray(self.A, dtype=complex).reshape(n, n)
-        lam = np.asarray(self.lam, dtype=complex).reshape(n, n)
-        for name, arr in (("log_c", self.log_c), ("mu", mu), ("A", A), ("lam", lam)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"kernel {name} has non-finite entries")
-        if np.max(np.abs(A - A.T)) > SYMMETRY_TOL:
-            raise ValueError("kernel matrix A must be complex symmetric")
-        if np.max(np.abs(lam - lam.conj().T)) > SYMMETRY_TOL:
-            raise ValueError("kernel matrix lam must be hermitian")
-        # a physical state's kernel has lambda_min(lam) >= d_min - 1/2 >= -PHYSICAL_TOL
-        if np.linalg.eigvalsh(lam).min() < -PHYSICAL_TOL:
-            raise ValueError("kernel matrix lam must be positive semidefinite")
-        _set_fields(self, self.log_c, mu, A, lam)
+    M: np.ndarray
+    b: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.mu.shape[-1]
+        return self.b.shape[-1] // 2
 
     @cached_property
     def _form_base(self) -> tuple[np.ndarray, np.ndarray]:
-        """The bordered base [[M - I, b], [b^T, _BORDER]], b = (Re mu, -Im mu),
-        as P + Q, with P = -[[Re lam, -Im lam], [Im lam, Re lam]] bordered by
-        b and _BORDER, and Q = -2 [[Re A, Im A], [Im A, -Re A]] by zeros.  A
-        contraction scales both by w w^T, and they are summed after the
-        scaling: the t_Z fallback's values, and acceptance criterion 7, rest
-        on that rounding (see the module docstring).
+        """The bordered base [[M - I, b], [b^T, _BORDER]] as P + Q, with the
+        Lam part P = (M + J^T M J)/2 - I bordered by b and _BORDER, and the
+        pair part Q = (M - J^T M J)/2 by zeros.  A contraction scales both
+        by w w^T, and they are summed after the scaling: the t_Z fallback's
+        values, and acceptance criterion 7, rest on that rounding (see the
+        module docstring).
         """
-        n, m = self.n, 2 * self.n
-        lam, A = self.lam, self.A
+        m = 2 * self.n
+        turned = _turn(self.M)
         P = np.empty((m + 1, m + 1))
         Q = np.zeros((m + 1, m + 1))
-        np.negative(lam.real, out=P[:n, :n])
-        P[:n, n:m] = lam.imag
-        np.negative(lam.imag, out=P[n:m, :n])
-        P[n:m, n:m] = P[:n, :n]
-        np.multiply(A.real, -2.0, out=Q[:n, :n])
-        np.negative(Q[:n, :n], out=Q[n:m, n:m])
-        np.multiply(A.imag, -2.0, out=Q[:n, n:m])
-        Q[n:m, :n] = Q[:n, n:m]
-        P[m, :n] = self.mu.real
-        np.negative(self.mu.imag, out=P[m, n:m])
-        P[:m, m] = P[m, :m]
+        P[:m, :m] = 0.5 * (self.M + turned) - np.eye(m)
+        Q[:m, :m] = 0.5 * (self.M - turned)
+        P[m, :m] = P[:m, m] = self.b
         P[m, m] = _BORDER
         return P, Q
+
+    def quadruple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The complex (mu, A, Lam) of the kernel, read off b and its base:
+        mu = b1 - i b2, A = -(Q11 + i Q12)/2 and Lam = -(P11 + i P21).  Adding
+        0.0 makes an exact zero print as 0.0, not as -0.0."""
+        n = self.n
+        P, Q = self._form_base
+        mu = self.b[:n] - 1j * self.b[n:]
+        A = -0.5 * (Q[:n, :n] + 1j * Q[:n, n:2 * n])
+        lam = -(P[:n, :n] + 1j * P[n:2 * n, :n])
+        return mu + 0.0, A + 0.0, lam + 0.0
 
 
 @dataclass(frozen=True)
 class ContractedKernel:
     """Gamma(K) Z Gamma(K), K = diag(k), of a plain kernel Z (parent), kept as
     the record (parent, k); a stack of them for contractions k of shape
-    (m, n).  Its bordered form matrices scale the parent's base, so its
-    quadruple (ln c, K mu, K A K, K lam K) is never formed."""
+    (m, n).  Its bordered form matrices scale the parent's base, so its own
+    M = I - K~ (I - M) K~ and b = K~ b are never formed."""
 
     parent: CoherentKernel
     k: np.ndarray
@@ -165,14 +154,6 @@ def _bordered_factor(kernel: CoherentKernel | ContractedKernel):
     return kernel._form_factor
 
 
-def _set_fields(kernel: CoherentKernel, log_c, mu, A, lam) -> CoherentKernel:
-    for name, arr in (("mu", mu), ("A", A), ("lam", lam)):
-        arr.flags.writeable = False
-        object.__setattr__(kernel, name, arr)
-    object.__setattr__(kernel, "log_c", float(log_c))
-    return kernel
-
-
 def _cholesky_factor(matrix: np.ndarray, m: int):
     """Lower numpy.linalg Cholesky factor of matrix, or None unless it is
     positive definite with its first m squared pivots above FORM_MIN_EIG
@@ -185,6 +166,18 @@ def _cholesky_factor(matrix: np.ndarray, m: int):
     except np.linalg.LinAlgError:
         return None
     return F if float(F.diagonal(0, -2, -1)[..., :m].min()) ** 2 > FORM_MIN_EIG else None
+
+
+def _turn(X: np.ndarray) -> np.ndarray:
+    """J X J^T = J^T X J = [[X22, -X21], [-X12, X11]] of a 2n x 2n X, copied
+    block by block, which gives the bits of the two products with J."""
+    n = X.shape[-1] // 2
+    out = np.empty(X.shape)
+    out[:n, :n] = X[n:, n:]
+    np.negative(X[n:, :n], out=out[:n, n:])
+    np.negative(X[:n, n:], out=out[n:, :n])
+    out[n:, n:] = X[:n, :n]
+    return out
 
 
 def _add_to_diagonal(M: np.ndarray, value: float) -> None:
@@ -215,8 +208,8 @@ def lower_triangular_inverse(L: np.ndarray) -> np.ndarray:
 
 def log_kernel_trace(kernel: CoherentKernel | ContractedKernel):
     """ln Tr Z for a positive kernel, or an array of them for a stack of
-    contractions; raises NotTraceClassError unless M(A, lam) is positive
-    definite with every squared pivot above 1e-12 and b . M^{-1} b < _BORDER.
+    contractions; raises NotTraceClassError unless M is positive definite
+    with every squared pivot above 1e-12 and b . M^{-1} b < _BORDER.
 
     ln Tr Z = ln c - ln det M / 2 + b . M^{-1} b with b = (Re mu, -Im mu);
     the sign on the imaginary block comes from the conjugate slot of the
@@ -237,27 +230,25 @@ def log_kernel_trace(kernel: CoherentKernel | ContractedKernel):
 
 
 def state_to_kernel(state: GaussianState) -> CoherentKernel:
-    """Kernel parameters of a Gaussian state with mean m and covariance S.
+    """Kernel record (ln c, M, b) of a Gaussian state with mean m and
+    covariance S.
 
-    With G = (I/2 + S)^{-1} partitioned into n x n blocks Gij and
-    m = mean[:n] + i mean[n:]:
+    With G = (I/2 + S)^{-1} and Xi = diag(I, -I):
 
-        A   = ((G11 - G22) + i (G12 + G21)) / 4
-        lam = I - ((G11 + G22) + i (G21 - G12)) / 2
-        mu  = m - 2 conj(A) conj(m) - conj(lam) m
-        ln c = -ln det(I/2 + S) / 2 - |m|^2 + 2 Re(m.A m) + m.lam conj(m)
+        M = J G J^T,   b = M Xi m,   ln c = -ln det(I/2 + S) / 2 - (Xi m) . b
 
-    The mean enters exactly as a displacement acting on the zero-mean
-    kernel, which fixes every conjugation above.  Only ln c is formed, as c
-    is subnormal from |m|^2 = 708.4; NotTraceClassError once |m|^2 overflows.
+    M is G's blocks swapped, two of them negated (_turn), so it holds G to
+    relative rounding.  The mean enters exactly as a displacement acting on
+    the zero-mean kernel.  Only ln c is formed, as c is subnormal from a
+    squared displacement of 708.4; NotTraceClassError once (Xi m) . b
+    overflows.
 
     One Cholesky factor I/2 + S = L L^T gives both: ln det = 2 sum ln L_jj,
     and G = L^{-T} L^{-1} with L^{-1} from lower_triangular_inverse.
 
-    The state is taken to be physical (require_physical), so CoherentKernel's
-    checks and their eigensolve are not run: A and lam are symmetrized above,
-    and a state that passes require_physical has
-    lambda_min(lam) >= d_min - 1/2 >= -PHYSICAL_TOL.
+    The state is taken to be physical (require_physical), so the kernel is
+    not checked again: a state that passes require_physical has
+    lambda_min(Lam) >= d_min - 1/2 >= -PHYSICAL_TOL.
     """
     n = state.n
     C = 0.5 * np.eye(2 * n) + state.cov
@@ -267,27 +258,20 @@ def state_to_kernel(state: GaussianState) -> CoherentKernel:
         raise UnphysicalStateError(f"covariance shifted by I/2 not positive definite: {exc}")
     logdet = 2.0 * float(np.log(L.diagonal()).sum())
     Li = lower_triangular_inverse(L)
-    G = Li.T @ Li
-
-    g11, g12 = G[:n, :n], G[:n, n:]
-    g21, g22 = G[n:, :n], G[n:, n:]
-    A = 0.25 * ((g11 - g22) + 1j * (g12 + g21))
-    lam = np.eye(n) - 0.5 * ((g11 + g22) + 1j * (g21 - g12))
-    A = 0.5 * (A + A.T)
-    lam = 0.5 * (lam + lam.conj().T)
-
-    m = state.mean_complex()
-    mu = m - 2.0 * A.conj() @ m.conj() - lam.conj() @ m
+    M = _turn(Li.T @ Li)
+    xm = np.repeat([1.0, -1.0], n) * state.mean
+    b = M @ xm
     with np.errstate(over="ignore", invalid="ignore"):
-        quad = float((-m.conj() @ m + 2.0 * (m @ A @ m) + m @ lam @ m.conj()).real)
+        quad = float(xm @ b)
     if not np.isfinite(quad):
         raise NotTraceClassError("not trace class: the squared displacement |m|^2 in ln c "
                                  "overflows a double (a displacement past about 1.3e154)")
-    return _set_fields(object.__new__(CoherentKernel), -0.5 * logdet + quad, mu, A, lam)
+    M.flags.writeable = b.flags.writeable = False
+    return CoherentKernel(-0.5 * logdet - quad, M, b)
 
 
 def form_inverse(kernel: CoherentKernel | ContractedKernel, orders=...) -> np.ndarray:
-    """M(A, lam)^{-1} = L^{-T} L^{-1} of a normalizable kernel; for a stack of
+    """M^{-1} = L^{-T} L^{-1} of a normalizable kernel; for a stack of
     kernels, of the entries that orders selects.
 
     L is the leading block of the bordered Cholesky factor that
@@ -308,38 +292,25 @@ def form_inverse(kernel: CoherentKernel | ContractedKernel, orders=...) -> np.nd
 def kernel_to_state(kernel: CoherentKernel) -> GaussianState:
     """Recover (mean, covariance) from a normalizable Gaussian kernel.
 
-    S = M(-A, lam)^{-1} - I/2 = J^T M(A, lam)^{-1} J - I/2, since
-    M(-A, lam) = J^T M(A, lam) J exactly.  M^{-1} = L^{-T} L^{-1} comes from
-    M's own Cholesky factor L, not the trace's bordered one, so the
-    displacement has no limit here below overflow.  J^T X J =
-    [[X22, -X21], [-X12, X11]] is copied block by block, which gives the
-    bits of the two products with J.  The mean inverts the displacement map
-    of state_to_kernel: m_r = Xi M(A, lam)^{-1} Xi mu_r where Xi negates the
-    imaginary block.  Raises UnphysicalStateError when the form matrix is
-    singular or indefinite (a squared pivot at most FORM_MIN_EIG).
-
-    M = P + Q + I comes off the kernel's base (_form_base).  It holds
-    I - lam to absolute rounding, so a hot mode (symplectic eigenvalue d)
-    comes back to about eps * d relative, and fails from d ~ 1/FORM_MIN_EIG.
+    S = J^T M^{-1} J - I/2 and mean = Xi M^{-1} b, Xi = diag(I, -I), invert
+    state_to_kernel.  M^{-1} = L^{-T} L^{-1} comes from the record's M and
+    its own Cholesky factor L, not the trace's bordered one, so the
+    displacement has no limit here below overflow.  M holds
+    G = (I/2 + S)^{-1} to relative rounding, so a hot mode (symplectic
+    eigenvalue d) comes back to a few eps relative, and fails from
+    d ~ 1/FORM_MIN_EIG.  Raises UnphysicalStateError when the form matrix
+    is singular or indefinite (a squared pivot at most FORM_MIN_EIG).
     """
     n = kernel.n
-    P, Q = kernel._form_base
-    M = P[:2 * n, :2 * n] + Q[:2 * n, :2 * n]
-    _add_to_diagonal(M, 1.0)
-    L = _cholesky_factor(M, 2 * n)
+    L = _cholesky_factor(kernel.M, 2 * n)
     if L is None:
         raise UnphysicalStateError(
             "kernel parameters do not describe a normalizable gaussian state")
     Li = lower_triangular_inverse(L)
     inv = Li.T @ Li
-    cov = np.empty(inv.shape)
-    cov[:n, :n] = inv[n:, n:]
-    np.negative(inv[n:, :n], out=cov[:n, n:])
-    np.negative(inv[:n, n:], out=cov[n:, :n])
-    cov[n:, n:] = inv[:n, :n]
+    cov = _turn(inv)
     _add_to_diagonal(cov, -0.5)
-    xi = np.repeat([1.0, -1.0], n)
-    mean = xi * (inv @ (xi * np.concatenate([kernel.mu.real, kernel.mu.imag])))
+    mean = np.repeat([1.0, -1.0], n) * (inv @ kernel.b)
     return GaussianState(mean, 0.5 * (cov + cov.T))
 
 
@@ -347,14 +318,15 @@ def apply_contraction(kernel: CoherentKernel | ContractedKernel, k: np.ndarray) 
     """Parameters of Gamma(K) Z Gamma(K) for a diagonal contraction K.
 
     Gamma(K) is the second quantization of K = diag(k); sandwiching maps
-    (ln c, mu, A, lam) to (ln c, K mu, K A K, K lam K).  Entries of k must lie
-    in [0, 1], and NaN or inf raises ValueError.  A stack of contractions k
-    of shape (m, n) gives the stack of m sandwiched kernels.  A real
-    diagonal K keeps A symmetric and lam hermitian PSD, so CoherentKernel's
-    checks and their eigensolve are not run again.  The result is the
-    record (parent, k) (ContractedKernel); contracting a contracted kernel
-    multiplies the contractions, Gamma(K2) Gamma(K1) = Gamma(K2 K1), so the
-    parent is always a plain kernel, which has the base.
+    (ln c, mu, A, Lam) to (ln c, K mu, K A K, K Lam K), that is (ln c, M, b)
+    to (ln c, I - K~ (I - M) K~, K~ b).  Entries of k must lie in [0, 1],
+    and NaN or inf raises ValueError.  A stack of contractions k of shape
+    (m, n) gives the stack of m sandwiched kernels.  A real diagonal K
+    keeps Lam positive semidefinite, so nothing is checked again.  The
+    result is the record (parent, k) (ContractedKernel); contracting a
+    contracted kernel multiplies the contractions,
+    Gamma(K2) Gamma(K1) = Gamma(K2 K1), so the parent is always a plain
+    kernel, which has the base.
     """
     k = np.array(k, dtype=float)
     if k.ndim not in (1, 2) or k.shape[-1] != kernel.n:

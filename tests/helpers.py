@@ -5,6 +5,9 @@ package's closed-form pipeline, so that agreement between the two is
 meaningful evidence rather than a tautology.  The kernel-element and moment
 oracles build on gauss_renyi.fock's dense states and ladder operators; they
 take the pipeline's kernels and states only as the values under test.
+replay_divergence repeats the pipeline's formula in 60-digit mpmath, so it
+separates the pipeline's rounding from its input's conditioning, but not
+a wrong formula from a right one.
 """
 
 import math
@@ -66,6 +69,20 @@ def symplectic_residual(L: np.ndarray) -> float:
     return float(np.max(np.abs(L.T @ J @ L - J)))
 
 
+def form_matrix(A, lam):
+    """M(A, lam) = I - [[Re lam, -Im lam], [Im lam, Re lam]]
+    - 2 [[Re A, Im A], [Im A, -Re A]], from its definition."""
+    return (np.eye(2 * A.shape[-1])
+            - np.block([[lam.real, -lam.imag], [lam.imag, lam.real]])
+            - 2.0 * np.block([[A.real, A.imag], [A.imag, -A.real]]))
+
+
+def kernel_from_quadruple(log_c: float, mu, A, lam) -> CoherentKernel:
+    """The kernel record (ln c, M, b) of the E2 parameters (ln c, mu, A, lam),
+    with M = M(A, lam) and b = (Re mu, -Im mu) from their definitions."""
+    return CoherentKernel(float(log_c), form_matrix(A, lam), np.concatenate([mu.real, -mu.imag]))
+
+
 def evaluate_kernel(kernel: CoherentKernel, u: np.ndarray, v: np.ndarray) -> complex:
     """Evaluate exp(ln c + conj(mu).u + mu.v + u.Au + u.Lam v + v.conj(A)v).
 
@@ -74,9 +91,56 @@ def evaluate_kernel(kernel: CoherentKernel, u: np.ndarray, v: np.ndarray) -> com
     """
     u = np.asarray(u, dtype=complex).reshape(-1)
     v = np.asarray(v, dtype=complex).reshape(-1)
-    expo = (kernel.log_c + kernel.mu.conj() @ u + kernel.mu @ v + u @ kernel.A @ u
-            + u @ kernel.lam @ v + v @ kernel.A.conj() @ v)
+    mu, A, lam = kernel.quadruple()
+    expo = (kernel.log_c + mu.conj() @ u + mu @ v + u @ A @ u + u @ lam @ v
+            + v @ A.conj() @ v)
     return complex(np.exp(expo))
+
+
+def replay_divergence(rho_prime: GaussianState, s, alpha: float,
+                      dps: int = 60) -> tuple[float, list]:
+    """(D_alpha, t_Z ascending), replayed at dps digits from the float rho'
+    and s that entropy.reduce_to_thermal returns.
+
+    With G = (I/2 + S')^{-1}, Xi = diag(I, -I) and the mean m': M = J G J^T,
+    b = M Xi m' and ln c = -ln det(I/2 + S')/2 - (Xi m') . b.  The
+    contraction K~ = diag(k, k), k = e^(-s (1-alpha)/(2 alpha)), gives
+    M_K = I - K~ (I - M) K~, b_K = K~ b and
+    ln Tr Z = ln c - ln det M_K / 2 + b_K . M_K^{-1} b_K.  t_Z comes from the
+    symplectic eigenvalues d_Z of S_Z = J^T M_K^{-1} J - I/2, the positive
+    eigenvalues of i R^T J R with S_Z = R R^T.  rho' must have no pure mode.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        mp = mpmath.mp
+        n = rho_prime.n
+        eye = mp.eye(2 * n)
+        J = mp.zeros(2 * n)
+        for j in range(n):
+            J[j, n + j], J[n + j, j] = 1, -1
+        C = mp.matrix(rho_prime.cov.tolist()) + eye / 2
+        M = J * mp.inverse(C) * J.T
+        xm = mp.matrix([x if j < n else -x for j, x in enumerate(rho_prime.mean.tolist())])
+        b = M * xm
+        log_c = -mp.log(mp.det(C)) / 2 - mp.fdot(xm, b)
+        k = [mp.exp(-mp.mpf(x) * (1 - mp.mpf(alpha)) / (2 * mp.mpf(alpha))) for x in s]
+        Kt = mp.diag(k + k)
+        MK = eye - Kt * (eye - M) * Kt
+        bK = Kt * b
+        MK_inv = mp.inverse(MK)
+        log_trace = log_c - mp.log(mp.det(MK)) / 2 + mp.fdot(bK, MK_inv * bK)
+        R = mp.cholesky(J.T * MK_inv * J - eye / 2)
+        d = sorted(mp.eighe(1j * (R.T * J * R), eigvals_only=True), key=mp.re)[n:]
+        t_z = [mp.log((mp.re(x) + mp.mpf(0.5)) / (mp.re(x) - mp.mpf(0.5))) for x in d]
+
+        def log_p(ts):
+            return mp.fsum(mp.log(-mp.expm1(-t)) for t in ts)
+
+        a = mp.mpf(alpha)
+        log_t_alpha = ((1 - a) * log_p([mp.mpf(x) for x in s]) + a * log_p(t_z)
+                       - log_p([a * t for t in t_z]) + a * log_trace)
+        return float(log_t_alpha / (a - 1)), sorted(float(t) for t in t_z)
 
 
 def exponential_vector(u, cutoff: int) -> np.ndarray:

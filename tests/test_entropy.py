@@ -242,7 +242,7 @@ def test_lambda_gate_uses_the_spectral_norm(monkeypatch):
     expected, diagonal_only = [], 0
     for alpha in grid:
         k = fractional_power_contraction([1.0, 1.3], alpha)
-        lam = np.outer(k, k) * kernel.lam  # K Lambda K of the contracted sandwich
+        lam = np.outer(k, k) * kernel.quadruple()[2]  # K Lambda K of the contracted sandwich
         expected.append(np.linalg.norm(lam, 2) > entropy.LAMBDA_GATE)
         diagonal_only += expected[-1] and np.max(np.diag(lam).real) <= entropy.LAMBDA_GATE
     assert 0 < diagonal_only and not all(expected)
@@ -493,7 +493,7 @@ def test_near_bound_verdict_is_frame_invariant(frame, gap, accepted):
                 else:
                     evaluate()
         if accepted:
-            assert np.linalg.eigvalsh(state_to_kernel(state).lam).min() >= -PHYSICAL_TOL
+            assert np.linalg.eigvalsh(state_to_kernel(state).quadruple()[2]).min() >= -PHYSICAL_TOL
 
 
 @pytest.mark.parametrize("r", [0.0, 2.0, 5.0])
