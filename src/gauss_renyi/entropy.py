@@ -116,7 +116,7 @@ def reduce_to_thermal(rho: GaussianState, sigma: GaussianState
             f"{np.log1p(1.0 / PURE_TOL):.3g}), or its mode counts as pure; "
             f"got d - 1/2 = {np.array2string(form.d - 0.5, precision=3)}")
     rho_prime = gaussian_transform(rho, form.L, shift=sigma.mean)
-    return rho_prime, form.t, pure_mode_count(d, rho.cov)
+    return rho_prime, form.t, pure_mode_count(d)
 
 
 @dataclass(frozen=True)
@@ -149,26 +149,24 @@ def _contracted_thermal_parameters(z: ContractedKernel) -> np.ndarray:
     stacked eigvalsh gives both; max_j Lambda_jj <= lambda_max screens out,
     before any eigensolve, the orders whose norm must exceed the gate.  The
     screen reads max k_i k_j |A'_ij| and k_j^2 Lambda'_jj off the parent
-    kernel's base (P, Q): |A'| = hypot(Q11, Q12) / 2 and
-    Lambda' = -(P11 + i P21), which is formed only for the eigvalsh of the
-    orders that pass it.  The other orders fall back on the symplectic
-    spectrum of the covariance, whose gap above 1/2 resolves e^(-t_Z) only
-    down to the eigensolver noise floor.  It is taken of
+    kernel's halves (CoherentKernel._halves), and Lambda' is formed only for
+    the eigvalsh of the orders that pass it.  The other orders fall back on
+    the symplectic spectrum of the covariance, whose gap above 1/2 resolves
+    e^(-t_Z) only down to the eigensolver noise floor.  It is taken of
     M^{-1} - I/2 = J S J^T, which has the spectrum of the covariance S
     without its J-congruence, and M^{-1} comes from the form-matrix
     Cholesky factor that log_kernel_trace has taken.  That matrix is handed
     on unnamed, so the spectrum's stage frees it once it has its
     symmetrized copy.
     """
-    k, (P, Q) = z.k, z.parent._form_base
+    k, (p11, p21, q11, q12) = z.k, z.parent._halves
     n = k.shape[-1]
     t = np.empty(k.shape)
     outer = k[:, :, None] * k[:, None, :]
-    free = (((outer * (0.5 * np.hypot(Q[:n, :n], Q[:n, n:-1]))).max(axis=(-2, -1))
-             <= PAIR_FREE_GATE)
-            & ((outer.diagonal(0, -2, -1) * -P.diagonal()[:n]).max(axis=-1) <= LAMBDA_GATE))
+    free = (((outer * (0.5 * np.hypot(q11, q12))).max(axis=(-2, -1)) <= PAIR_FREE_GATE)
+            & ((outer.diagonal(0, -2, -1) * -p11.diagonal()).max(axis=-1) <= LAMBDA_GATE))
     if free.any():
-        lam = np.linalg.eigvalsh(outer[free] * -(P[:n, :n] + 1j * P[n:-1, :n]))
+        lam = np.linalg.eigvalsh(outer[free] * -(p11 + 1j * p21))
         inside = abs(lam).max(axis=-1) <= LAMBDA_GATE  # ||Lambda||_2 <= LAMBDA_GATE
         free[free] = inside
         lam = lam[inside]

@@ -17,18 +17,15 @@ J G J^T with G = (I/2 + S)^{-1}, a copy of G's blocks (state_to_kernel),
 and the complex quadruple is formed only where it is shown
 (CoherentKernel.quadruple).
 
-Everything built from M and b comes from one base per kernel, the bordered
-B = [[M - I, b], [b^T, _BORDER]] (CoherentKernel._form_base).  A diagonal
+Every form matrix built from M and b comes from one base per kernel, the
+bordered B = [[M - I, b], [b^T, _BORDER]] (CoherentKernel._form_base).  A diagonal
 contraction K = diag(k) maps M to I - K~ (I - M) K~ and b to K~ b, with
 K~ = diag(k, k), so a contracted kernel is the record (parent, k)
 (ContractedKernel), and its bordered form matrices, one per row of a stack
 of contractions, are w w^T o B + diag(1, ..., 1, 0), w = (k, k, 1), for one
 stacked Cholesky.  A plain kernel is traced as its contraction by k = 1.
-B is kept as its Lam part P = (M + J^T M J)/2 - I (with the border) and its
-pair part Q = (M - J^T M J)/2, each scaled by w w^T before they are added.
-That order fixes the rounding of the t_Z covariance fallback's values,
-which acceptance criterion 7 rests on: one summed base moved small-alpha
-fallback values by up to 4e-5.  The split can go with the fallback.
+The t_Z stage's screen and quadruple read the n x n halves of M's Lam and
+pair parts, formed once per kernel (CoherentKernel._halves).
 log_kernel_trace and form_inverse work on every entry at once through
 numpy.linalg's stacked (..., m, m) routines.  NumPy has no triangular
 solver, so Cholesky factors are never handed to its LU-based solve or inv:
@@ -45,6 +42,7 @@ import numpy as np
 
 from .exceptions import NotTraceClassError, UnphysicalStateError
 from .states import GaussianState
+from .williamson import lower_triangular_inverse
 
 #: minimum squared Cholesky pivot of the real form matrix for trace-class
 #: operators
@@ -57,9 +55,6 @@ _BORDER = 1e300
 #: the other reason a bordered factor fails, besides an indefinite M
 _PAST_BORDER = (f"b . M^-1 b, which grows as the squared displacement, is past {_BORDER:.0e}, "
                 "the corner of the bordered form matrix (a displacement of about 1e150)")
-#: lower_triangular_inverse hands diagonal blocks of at most this size to
-#: numpy.linalg.inv
-_TRI_LEAF = 16
 
 
 @dataclass(frozen=True)
@@ -75,34 +70,30 @@ class CoherentKernel:
         return self.b.shape[-1] // 2
 
     @cached_property
-    def _form_base(self) -> tuple[np.ndarray, np.ndarray]:
-        """The bordered base [[M - I, b], [b^T, _BORDER]] as P + Q, with the
-        Lam part P = (M + J^T M J)/2 - I bordered by b and _BORDER, and the
-        pair part Q = (M - J^T M J)/2 by zeros.  A contraction scales both
-        by w w^T, and they are summed after the scaling: the t_Z fallback's
-        values, and acceptance criterion 7, rest on that rounding (see the
-        module docstring).
-        """
+    def _form_base(self) -> np.ndarray:
+        """The bordered base [[M - I, b], [b^T, _BORDER]] that contractions scale."""
         m = 2 * self.n
-        turned = _turn(self.M)
-        P = np.empty((m + 1, m + 1))
-        Q = np.zeros((m + 1, m + 1))
-        P[:m, :m] = 0.5 * (self.M + turned) - np.eye(m)
-        Q[:m, :m] = 0.5 * (self.M - turned)
-        P[m, :m] = P[:m, m] = self.b
-        P[m, m] = _BORDER
-        return P, Q
+        B = np.empty((m + 1, m + 1))
+        B[:m, :m] = self.M - np.eye(m)
+        B[m, :m] = B[:m, m] = self.b
+        B[m, m] = _BORDER
+        return B
+
+    @cached_property
+    def _halves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The n x n halves (P11, P21, Q11, Q12) of M's Lam part P = (M + J^T M J)/2 - I
+        and pair part Q = (M - J^T M J)/2: Lam = -(P11 + i P21), A = -(Q11 + i Q12)/2."""
+        n = self.n
+        M11, M12, M21, M22 = self.M[:n, :n], self.M[:n, n:], self.M[n:, :n], self.M[n:, n:]
+        return (0.5 * (M11 + M22) - np.eye(n), 0.5 * (M21 - M12),
+                0.5 * (M11 - M22), 0.5 * (M12 + M21))
 
     def quadruple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The complex (mu, A, Lam) of the kernel, read off b and its base:
-        mu = b1 - i b2, A = -(Q11 + i Q12)/2 and Lam = -(P11 + i P21).  Adding
-        0.0 makes an exact zero print as 0.0, not as -0.0."""
+        """The complex (mu, A, Lam) of the kernel, read off b and M's halves:
+        mu = b1 - i b2, A = -(Q11 + i Q12)/2 and Lam = -(P11 + i P21)."""
         n = self.n
-        P, Q = self._form_base
-        mu = self.b[:n] - 1j * self.b[n:]
-        A = -0.5 * (Q[:n, :n] + 1j * Q[:n, n:2 * n])
-        lam = -(P[:n, :n] + 1j * P[n:2 * n, :n])
-        return mu + 0.0, A + 0.0, lam + 0.0
+        p11, p21, q11, q12 = self._halves
+        return self.b[:n] - 1j * self.b[n:], -0.5 * (q11 + 1j * q12), -(p11 + 1j * p21)
 
 
 @dataclass(frozen=True)
@@ -125,26 +116,19 @@ class ContractedKernel:
 
     @cached_property
     def _form_factor(self):
-        """Lower numpy.linalg Cholesky factor F of w w^T o P + w w^T o Q +
-        diag(1, ..., 1, 0), w = (k, k, 1), from the parent's base, or None
-        unless M is positive definite with every squared pivot above
-        FORM_MIN_EIG and b . M^{-1} b < _BORDER (for a stack: every entry).
+        """Lower numpy.linalg Cholesky factor F of w w^T o B + diag(1, ..., 1, 0),
+        w = (k, k, 1), from the parent's base B, or None unless M is positive
+        definite with every squared pivot above FORM_MIN_EIG and
+        b . M^{-1} b < _BORDER (for a stack: every entry).
         F's leading block is M's factor L, and its last row is y = L^{-1} b,
         so the trace's b . M^{-1} b = |y|^2 needs no solve.
         """
         k = self.k
-        n = k.shape[-1]
-        w = np.empty(k.shape[:-1] + (2 * n + 1,))
-        w[..., :n] = w[..., n:-1] = k
-        w[..., -1] = 1.0
-        P, Q = self.parent._form_base
+        w = np.concatenate([k, k, np.ones(k.shape[:-1] + (1,))], axis=-1)
         bordered = w[..., :, None] * w[..., None, :]
-        pairs = bordered * Q
-        bordered *= P
-        bordered += pairs
-        del pairs  # the factor can take its memory
+        bordered *= self.parent._form_base
         _add_to_diagonal(bordered, 1.0)  # the corner keeps _BORDER: 1 is below its ulp
-        return _cholesky_factor(bordered, 2 * n)
+        return _cholesky_factor(bordered, 2 * k.shape[-1])
 
 
 def _bordered_factor(kernel: CoherentKernel | ContractedKernel):
@@ -183,27 +167,6 @@ def _turn(X: np.ndarray) -> np.ndarray:
 def _add_to_diagonal(M: np.ndarray, value: float) -> None:
     """M_jj += value in place, for each matrix of a C-contiguous stack M."""
     M.reshape(M.shape[:-2] + (-1,))[..., ::M.shape[-1] + 1] += value
-
-
-def lower_triangular_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular L, or of each matrix of a stack (..., m, m).
-
-    Blocked: L = [[L11, 0], [L21, L22]] has the inverse
-    [[L11^{-1}, 0], [-L22^{-1} L21 L11^{-1}, L22^{-1}]], recursing on the
-    halves; the off-diagonal block takes two matmuls.  Diagonal blocks of
-    at most _TRI_LEAF go to numpy.linalg.inv transposed, since the LU of an
-    upper-triangular matrix swaps no rows, so the result is exactly
-    lower triangular.
-    """
-    m = L.shape[-1]
-    if m <= _TRI_LEAF:
-        return np.linalg.inv(L.swapaxes(-1, -2)).swapaxes(-1, -2)
-    h = m // 2
-    inv = np.zeros(L.shape)
-    i11 = inv[..., :h, :h] = lower_triangular_inverse(L[..., :h, :h])
-    i22 = inv[..., h:, h:] = lower_triangular_inverse(L[..., h:, h:])
-    np.negative(i22 @ (L[..., h:, :h] @ i11), out=inv[..., h:, :h])
-    return inv
 
 
 def log_kernel_trace(kernel: CoherentKernel | ContractedKernel):

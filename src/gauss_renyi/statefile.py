@@ -154,10 +154,10 @@ def round12(value: float) -> float:
 
 
 def json_number(value: float):
-    """JSON-safe number: infinities become the strings "inf" / "-inf"."""
+    """JSON-safe number: the strings "inf" / "-inf" for infinities, 0.0 for -0.0."""
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
-    return round12(float(value))
+    return round12(float(value)) + 0.0
 
 
 def state_to_json(state: GaussianState) -> dict:

@@ -50,17 +50,13 @@ class GaussianState:
         """Number of modes."""
         return self.cov.shape[0] // 2
 
-    def mean_complex(self) -> np.ndarray:
-        """Mean as a complex length-n vector Re + i Im."""
-        n = self.n
-        return self.mean[:n] + 1j * self.mean[n:]
-
 
 def validate_state(state: GaussianState) -> list[str]:
     """Return a list of violations; an empty list means the state is physical.
 
     Checks a finite mean, then, in williamson, finite and symmetric (SYMMETRY_TOL)
-    cov, positive definite, and all symplectic eigenvalues >= 1/2 - PHYSICAL_TOL.
+    cov, positive definite, and all symplectic eigenvalues >= 1/2 - PHYSICAL_TOL
+    once those within the spectrum's noise floor are set to 1/2.
     """
     return _violations(state, _heisenberg_spectrum)[0]
 

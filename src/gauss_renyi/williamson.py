@@ -13,10 +13,15 @@ S = R R^T, which is also the positive-definiteness test, and one
 hermitian eigensolve of i R^T J R, whose eigenvalues are +-d_j and whose
 +d_j eigenvectors V span the symplectic basis.  Since i R^T (J R) V =
 V diag(d), R^{-T} V = i (J R) V / d carries V back without a solve.
+
+The spectrum of one matrix carries its input's noise floor tau(S), read off
+the same factor (_snap_pure): each d_j within tau of 1/2 is returned as
+exactly 1/2, a pure mode, so the Heisenberg slack is max(PHYSICAL_TOL, tau).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,26 +36,14 @@ PHYSICAL_TOL = 1e-10
 SYMPLECTIC_TOL = 1e-10
 #: symplectic eigenvalues within this of 1/2 are treated as pure
 PURE_TOL = 1e-9
-#: a state counts as pure when max_ij |S_ij| <= PURE_FRAME and every
-#: computed d_j - 1/2 <= PURE_NOISE (7.1e-15).  PURE_TOL is far too coarse
-#: for this: a mode with d - 1/2 = 5e-10 has t = 21.4 and is mixed.  The
-#: rounding of a computed d grows with the squeezing of the frame, roughly
-#: as eps max|S|^2: a mode with d - 1/2 = 1e-13 (t = 29.9) squeezed by 3 in
-#: a random frame (max|S| = 120) reads -5.9e-13.  Up to max|S| = 2 it stays
-#: within 7.0, 9.5, 12.6 and 27.2 eps at n = 1, 4, 16 and 64, so in every
-#: frame a mode counts as pure only from t ~ 32 on; with d exact (an
-#: unsqueezed thermal mode) from t = 32.6 on: thermal_state(32) has
-#: d - 1/2 = 1.3e-14 and is mixed, thermal_state(33) 4.7e-15.  That moves
-#: D_alpha by -ln(1 - e^(-alpha t_Z)) / (1 - alpha), about e^(-alpha t_Z) at
-#: moderate alpha (1.4e-2 for t = 33 against s = 1.2 at alpha = 0.1); but
-#: as alpha -> 0, alpha t_Z -> s (1 - alpha) and it tends to
-#: -ln(1 - e^(-s)) (0.25 at alpha = 0.01, 0.36 in the limit, for s = 1.2).
-#: Pure states of squeeze <= 0.5 in random frames (max|S| <= 1.36) read at
-#: most 2.5, 4.0, 6.0, 6.5, 7.5 and 12.5 eps at n = 1, 4, 16, 32, 64 and 128.
-PURE_NOISE = 32 * np.finfo(float).eps
-PURE_FRAME = 2.0
+#: a computed d_j within PURE_FLOOR eps max(kappa_s, ||S||_F) of 1/2 is
+#: exactly 1/2 (_snap_pure): its input cannot tell it from 1/2
+PURE_FLOOR = 4.0
 #: residue allowed in L^T S L - D, relative to max(1, d_max)
 DIAG_TOL = 1e-8
+#: lower_triangular_inverse hands diagonal blocks of at most this size to
+#: numpy.linalg.inv
+_TRI_LEAF = 16
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -72,10 +65,9 @@ def require_heisenberg(d) -> None:
             f"bound 0.5 by more than the slack PHYSICAL_TOL = {PHYSICAL_TOL:.0e}")
 
 
-def pure_mode_count(d, cov) -> int:
-    """Number of pure modes in the symplectic spectrum d of cov: those with
-    d_j - 1/2 <= PURE_NOISE, none unless max_ij |cov_ij| <= PURE_FRAME."""
-    return int((d - 0.5 <= PURE_NOISE).sum()) if float(abs(cov).max()) <= PURE_FRAME else 0
+def pure_mode_count(d) -> int:
+    """Number of pure modes, the d_j equal to 1/2, in a symplectic_eigenvalues spectrum."""
+    return int((d == 0.5).sum())
 
 
 def _real(x, name: str) -> np.ndarray:
@@ -122,8 +114,8 @@ def _spectrum(S: np.ndarray, vectors: bool = False):
     i W / d with W = (J R) V, so L = sqrt2 [Re W, -Im W] diag(1/sqrt d, 1/sqrt d).
     Each column's phase makes V's largest-modulus entry positive imaginary, so
     L is deterministic.  Raises _NotCovariance when the Cholesky fails.
-    Without vectors, S must be a C-contiguous array of the caller's own
-    (_check_symmetric's), which is overwritten.
+    One matrix's d go through _snap_pure; a stack must be a C-contiguous
+    array of the caller's own (_check_symmetric's), which is overwritten.
     """
     try:
         R = np.linalg.cholesky(S)
@@ -131,24 +123,73 @@ def _spectrum(S: np.ndarray, vectors: bool = False):
         min_eig = float(np.min(np.linalg.eigvalsh(S)[..., 0]))
         raise _NotCovariance(f"not positive definite: min eigenvalue {min_eig:.3e}") from None
     n = S.shape[-1] // 2
-    # J R: R's row blocks swapped, one negated.  Without vectors, S's buffer
-    # holds J R and then skew - skew^T, so that each temporary is freed as
-    # soon as the next exists
-    out = None if vectors else S
+    # J R: R's row blocks swapped, one negated.  A stack's buffer holds J R, then
+    # skew - skew^T, each freed once the next exists; one matrix keeps S and R
+    out = S if S.ndim > 2 else None
     jr = np.concatenate([R[..., n:, :], -R[..., :n, :]], axis=-2, out=out)
     skew = R.swapaxes(-1, -2) @ jr
-    del R
+    if out is not None:
+        del R
     diff = np.subtract(skew, skew.swapaxes(-1, -2), out=out)
     del skew
     herm = 0.5j * diff
     del diff
     if not vectors:
-        return np.linalg.eigvalsh(herm)[..., ::-1][..., :n], None
+        d = np.linalg.eigvalsh(herm)[..., ::-1][..., :n]
+        return (d if out is not None else _snap_pure(S, R, d)), None
     ev, V = np.linalg.eigh(herm)
     d, V = ev[::-1][:n], V[:, ::-1][:, :n]
     top = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
     V = V * (1j * top.conj() / np.abs(top))
-    return d, jr @ np.hstack([V.real, -V.imag]) * np.sqrt(2.0 / np.concatenate([d, d]))
+    L = jr @ np.hstack([V.real, -V.imag]) * np.sqrt(2.0 / np.concatenate([d, d]))
+    return _snap_pure(S, R, d), L
+
+
+def _snap_pure(S: np.ndarray, R: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """d of one S = R R^T with each d_j within tau of 1/2, which S does not
+    resolve from 1/2, set to exactly 1/2.  tau = PURE_FLOOR eps
+    max(kappa_s, ||S||_F) with kappa_s = ||D^{-1/2} S D^{-1/2}||_F
+    max_i S_ii (S^{-1})_ii, D = diag(S): the rounding of d follows this scaled
+    conditioning (Bhatia & Jain, J. Math. Phys. 56 (2015)), and pure modes
+    read at most 1.95 eps max(kappa_s, ||S||_F) (README).  R^{-1}, whose
+    squared column norms are (S^{-1})_ii, is formed only for a d_j between
+    sqrt(2n) <= kappa_s (unit diagonal, S_ii (S^{-1})_ii >= 1) and 2n ||S||_F^2
+    / d_min^2 (entries <= 1, lambda_min(S) >= d_min^2 / lambda_max(S))."""
+    low = float(d[-1])  # d descends; require_heisenberg rejects NaN and d <= 0
+    if not low > 0.0:
+        return d
+    m, fro, unit = S.shape[0], math.sqrt(np.vdot(S, S)), PURE_FLOOR * 2.0 ** -52
+    high = unit * max(m * (fro / low) * (fro / low), fro)
+    if low - 0.5 > high:
+        return d
+    gap, tau = abs(d - 0.5), unit * max(math.sqrt(m), fro)
+    if ((gap > tau) & (gap <= high)).any():
+        Ri, diag = lower_triangular_inverse(R), S.diagonal()
+        scaled = S / np.sqrt(np.multiply.outer(diag, diag))
+        kappa = math.sqrt(np.vdot(scaled, scaled)) * (diag * (Ri * Ri).sum(axis=0)).max()
+        tau = unit * max(kappa, fro)
+    return np.where(gap <= tau, 0.5, d)
+
+
+def lower_triangular_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular L, or of each matrix of a stack (..., m, m).
+
+    Blocked: L = [[L11, 0], [L21, L22]] has the inverse
+    [[L11^{-1}, 0], [-L22^{-1} L21 L11^{-1}, L22^{-1}]], recursing on the
+    halves; the off-diagonal block takes two matmuls.  Diagonal blocks of
+    at most _TRI_LEAF go to numpy.linalg.inv transposed, since the LU of an
+    upper-triangular matrix swaps no rows, so the result is exactly
+    lower triangular.
+    """
+    m = L.shape[-1]
+    if m <= _TRI_LEAF:
+        return np.linalg.inv(L.swapaxes(-1, -2)).swapaxes(-1, -2)
+    h = m // 2
+    inv = np.zeros(L.shape)
+    i11 = inv[..., :h, :h] = lower_triangular_inverse(L[..., :h, :h])
+    i22 = inv[..., h:, h:] = lower_triangular_inverse(L[..., h:, h:])
+    np.negative(i22 @ (L[..., h:, :h] @ i11), out=inv[..., h:, :h])
+    return inv
 
 
 def d_to_t(d, pure_tol: float = PURE_TOL):
@@ -173,8 +214,9 @@ def t_to_d(t):
 
 
 def symplectic_eigenvalues(S: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a symmetric positive definite S, sorted descending;
-    for a stack of matrices (..., 2n, 2n), one spectrum per matrix."""
+    """Symplectic spectrum of a symmetric positive definite S, sorted descending,
+    each d_j that S cannot tell from 1/2 as exactly 1/2 (_snap_pure); for a
+    stack of matrices (..., 2n, 2n), one spectrum per matrix, not snapped."""
     S = _check_symmetric(S)  # drops this frame's hold on an argument passed unnamed
     return _spectrum(S)[0]
 

@@ -143,6 +143,19 @@ def replay_divergence(rho_prime: GaussianState, s, alpha: float,
         return float(log_t_alpha / (a - 1)), sorted(float(t) for t in t_z)
 
 
+def gaussian_channel(state: GaussianState, X: np.ndarray, Y: np.ndarray) -> GaussianState:
+    """The Gaussian channel S -> X S X^T + Y, a 2n' x 2n X and a 2n' x 2n' Y,
+    applied to a state.  As in gaussian_transform, the covariance pairs with
+    the mean's phase-space vector x = mean[swap], which maps to X x and is
+    stored swapped back."""
+    def swap(n):
+        return np.concatenate([np.arange(n, 2 * n), np.arange(n)])
+
+    cov = X @ state.cov @ X.T + Y
+    return GaussianState((X @ state.mean[swap(state.n)])[swap(X.shape[0] // 2)],
+                         0.5 * (cov + cov.T))
+
+
 def exponential_vector(u, cutoff: int) -> np.ndarray:
     """Truncated exponential vector |e(u)>, coefficients u^k / sqrt(k!)."""
     u = np.atleast_1d(np.asarray(u, dtype=complex))

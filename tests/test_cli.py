@@ -262,6 +262,15 @@ def test_convert_coherent_kernel(states, capsys):
     assert np.allclose(back["cov"], 0.5 * np.eye(2))
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_convert_prints_no_negative_zero(states, capsys, fmt):
+    # the round trip's sign flips turn exact zeros of the mean and covariance
+    # into -0.0, which the printed numbers show as 0.0
+    code, out, _ = run(capsys, ["convert", states["coherent"], "--format", fmt])
+    assert code == 0
+    assert "-0.0" not in out
+
+
 def test_convert_past_the_trace_border(capsys, tmp_path):
     # |gamma| = 1e151 puts b . M^{-1} b past the trace's 1e300 border, but the
     # round trip needs M's factor alone (entropy on it exits 2, see below)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import analytic_coherent_thermal, series_thermal_divergence
+from helpers import analytic_coherent_thermal, gaussian_channel, series_thermal_divergence
 import gauss_renyi.entropy as entropy
 from gauss_renyi.entropy import (EntropyReport, fractional_power_contraction,
                                  log_thermal_norm, reduce_to_thermal,
@@ -17,11 +17,12 @@ from gauss_renyi.entropy import (EntropyReport, fractional_power_contraction,
 from gauss_renyi.exceptions import (AlphaRangeError, NotFaithfulError,
                                     NotTraceClassError, UnphysicalStateError)
 from gauss_renyi.kernel import state_to_kernel
-from gauss_renyi.sampling import random_faithful_state, random_symplectic
+from gauss_renyi.sampling import (random_faithful_state, random_orthogonal_symplectic,
+                                  random_symplectic)
 from gauss_renyi.states import (GaussianState, coherent_state, gaussian_transform,
                                 squeezed_vacuum, tensor, thermal_state)
 from gauss_renyi.verify import coherent_thermal_divergence, thermal_series_divergence
-from gauss_renyi.williamson import PHYSICAL_TOL, PURE_FRAME
+from gauss_renyi.williamson import PHYSICAL_TOL
 
 LN2 = math.log(2.0)
 
@@ -121,6 +122,35 @@ def test_unitary_invariance(rng):
         d0 = sandwiched_renyi(rho, sigma, 0.6).divergence
         d1 = sandwiched_renyi(moved_rho, moved_sigma, 0.6).divergence
         assert abs(d0 - d1) < 1e-8
+
+
+def _test_channels(rng, n: int) -> dict:
+    """(X, Y) of S -> X S X^T + Y for each channel of the data-processing test."""
+    eye = np.eye(2 * n)
+    loss = (math.sqrt(0.7) * eye, 0.3 * (0.2 + 0.5) * eye)  # eta = 0.7, N = 0.2
+    keep = [j for j in range(2 * n) if j not in (n - 1, 2 * n - 1)]
+    return {
+        "thermal loss": loss,
+        "amplifier": (math.sqrt(1.5) * eye, 0.25 * eye),  # quantum limited, G = 1.5
+        "additive noise": (eye, 0.3 * eye),
+        "partial trace": (eye[keep], np.zeros((len(keep), len(keep)))),
+        "passive, then loss": (loss[0] @ random_orthogonal_symplectic(rng, n), loss[1]),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_data_processing_inequality(n):
+    # a channel applied to both states does not increase D_alpha for alpha >= 1/2
+    alphas = [0.5, 0.7, 0.9, 0.99]
+    for seed in range(15):
+        rng = np.random.default_rng(1000 * n + seed)
+        rho, sigma = random_faithful_state(rng, n), random_faithful_state(rng, n)
+        before = sandwiched_renyi_sweep(rho, sigma, alphas)
+        for name, (X, Y) in _test_channels(rng, n).items():
+            after = sandwiched_renyi_sweep(gaussian_channel(rho, X, Y),
+                                           gaussian_channel(sigma, X, Y), alphas)
+            for alpha, old, new in zip(alphas, before, after):
+                assert new.divergence <= old.divergence * (1.0 + 1e-12), (seed, name, alpha)
 
 
 def test_alpha_monotone(rng):
@@ -507,6 +537,22 @@ def test_near_pure_rho_matches_series(gap, r):
     assert abs(value.divergence - thermal_series_divergence(math.log1p(1.0 / gap), 1.2, 0.5)) < 1e-10
 
 
+@pytest.mark.parametrize("r", [4.0, 5.0])
+def test_squeezed_vacuum_in_a_random_frame_is_accepted(r):
+    # a pure mode squeezed by r, next to a thermal one, in a random frame: its
+    # computed d strays from 1/2 by up to 3.4e-10 at r = 4 and 1.5e-8 at r = 5
+    # on these seeds, past PHYSICAL_TOL, but within its floor tau, so the mode
+    # counts as pure, and the value is the closed form's
+    exact = (pure_product_divergence([r], [0.9], 0.5)
+             + thermal_series_divergence(1.0, 1.6, 0.5))
+    for seed in range(20):
+        L = random_symplectic(np.random.default_rng(seed), 2)
+        rho = gaussian_transform(tensor(squeezed_vacuum(r), thermal_state(1.0)), L)
+        report = sandwiched_renyi(rho, gaussian_transform(thermal_state([0.9, 1.6]), L), 0.5)
+        assert np.isinf(report.t_Z).sum() == 1
+        assert abs(report.divergence - exact) <= 1e-12 * exact, seed
+
+
 #: orders down to the range where the contraction underflows
 PURE_ALPHAS = [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.5, 0.9]
 
@@ -562,27 +608,31 @@ def test_partly_pure_rho_in_random_frames_matches_closed_forms(n, seed):
     # coherent (pure) and thermal (mixed) modes under one joint unitary: the
     # t_Z stage reads the sandwich's pure modes as rounding noise, finite
     # (F1), so they are taken as inf from rho's count.  On these seeds the
-    # noise moved the value by 3e-3 to 3e-2
-    rng = np.random.default_rng(seed)
-    gamma = [complex(*rng.normal(scale=0.5, size=2)) for _ in range(n // 2)]
-    t = rng.uniform(1.0, 2.5, size=n - n // 2)
-    s = rng.uniform(0.3, 2.5, size=n)
-    L, shift = random_symplectic(rng, n, max_squeeze=0.3), rng.normal(scale=0.5, size=2 * n)
-    frame = lambda state: gaussian_transform(state, L, shift=shift)
-    rho = frame(tensor(coherent_state(gamma), thermal_state(t)))
-    assert abs(rho.cov).max() <= PURE_FRAME
-    for alpha in (0.5, 0.1):
-        report = sandwiched_renyi(rho, frame(thermal_state(s)), alpha)
-        assert np.isinf(report.t_Z).sum() == n // 2
-        exact = (sum(analytic_coherent_thermal(g, sj, alpha) for g, sj in zip(gamma, s))
-                 + sum(series_thermal_divergence(tj, sj, alpha) for tj, sj in zip(t, s[n // 2:])))
-        assert abs(report.divergence - exact) <= 1e-12 * exact, alpha
+    # noise moved the value by 3e-3 to 3e-2.  The count holds in frames
+    # squeezed by up to 2 too
+    for max_squeeze in (0.3, 1.0, 2.0):
+        rng = np.random.default_rng(seed)
+        gamma = [complex(*rng.normal(scale=0.5, size=2)) for _ in range(n // 2)]
+        t = rng.uniform(1.0, 2.5, size=n - n // 2)
+        s = rng.uniform(0.3, 2.5, size=n)
+        L = random_symplectic(rng, n, max_squeeze=max_squeeze)
+        shift = rng.normal(scale=0.5, size=2 * n)
+        frame = lambda state: gaussian_transform(state, L, shift=shift)
+        rho = frame(tensor(coherent_state(gamma), thermal_state(t)))
+        for alpha in (0.5, 0.1):
+            report = sandwiched_renyi(rho, frame(thermal_state(s)), alpha)
+            assert np.isinf(report.t_Z).sum() == n // 2
+            exact = (sum(analytic_coherent_thermal(g, sj, alpha) for g, sj in zip(gamma, s))
+                     + sum(series_thermal_divergence(tj, sj, alpha)
+                           for tj, sj in zip(t, s[n // 2:])))
+            assert abs(report.divergence - exact) <= 1e-12 * exact, (max_squeeze, alpha)
 
 
 @pytest.mark.parametrize("rho", [
     thermal_state(32.0),  # d - 1/2 = 1.3e-14: above the purity noise floor
+    thermal_state(33.0),  # d - 1/2 = 4.7e-15: above its floor tau = 1.3e-15
     thermal_state(math.log1p(1.0 / 5e-10)),  # within PURE_TOL, but mixed (t = 21.4)
-], ids=["t=32", "gap=5e-10"])
+], ids=["t=32", "t=33", "gap=5e-10"])
 def test_nearly_pure_rho_keeps_finite_t_z(rho):
     report = sandwiched_renyi(rho, thermal_state(1.2), 0.1)
     t = math.log1p(1.0 / (rho.cov[0, 0] - 0.5))  # of the stored covariance
@@ -598,45 +648,47 @@ def test_nearly_pure_rho_keeps_finite_t_z(rho):
     assert abs(report.divergence - mixed) < 1e-2 * abs(pure - mixed)
 
 
-def test_nearly_pure_rho_in_a_squeezed_frame_keeps_finite_t_z():
+def test_nearly_pure_rho_in_a_squeezed_frame_counts_as_pure():
     # d - 1/2 = 1e-13 (t = 29.9), squeezed by 3 in a random frame shared with
-    # sigma: there the computed d - 1/2 reads -5.9e-13, below PURE_NOISE, but
-    # max|S| = 120 is above PURE_FRAME, so rho keeps the mixed route
+    # sigma: the float covariance does not resolve that gap.  Its exact gap is
+    # 1.95e-13, and changes of at most 1 ulp in its three entries move it over
+    # [-1.5e-12, 1.9e-12] (60-digit mpmath); its floor is tau = 2.7e-11, so the
+    # mode is taken as the vacuum, to 1.4e-12 of the pure value
     L = _squeeze(1, 3.0) @ random_symplectic(np.random.default_rng(0), 1)
     rho = gaussian_transform(GaussianState(np.zeros(2), (0.5 + 1e-13) * np.eye(2)), L)
     report = sandwiched_renyi(rho, gaussian_transform(thermal_state(1.2), L), 0.01)
-    assert np.isfinite(report.t_Z).all()
-    mixed = thermal_series_divergence(math.log1p(1e13), 1.2, 0.01)
-    pure = thermal_series_divergence(math.inf, 1.2, 0.01)
-    assert abs(report.divergence - mixed) < 0.05 * abs(pure - mixed)
+    assert np.isinf(report.t_Z).all()
+    assert math.isclose(report.divergence, coherent_thermal_divergence(0.0, 1.2, 0.01),
+                        rel_tol=1e-11)
 
 
 def test_thermal_rho_past_the_noise_floor_counts_as_pure():
-    # thermal_state(33) has d - 1/2 = 4.7e-15 <= PURE_NOISE, so it is
-    # taken as the vacuum, which drops p(alpha t_Z), t_Z = 33 + 1.2 (1-alpha)/alpha
+    # thermal_state(35) has d - 1/2 = 6.7e-16, within its floor tau = 1.3e-15,
+    # so it is taken as the vacuum, which drops p(alpha t_Z),
+    # t_Z = 35 + 1.2 (1-alpha)/alpha
     alpha = 0.1
-    report = sandwiched_renyi(thermal_state(33.0), thermal_state(1.2), alpha)
+    report = sandwiched_renyi(thermal_state(35.0), thermal_state(1.2), alpha)
     assert np.isinf(report.t_Z).all()
     assert math.isclose(report.divergence, coherent_thermal_divergence(0.0, 1.2, alpha),
                         rel_tol=1e-12)
-    dropped = -math.log1p(-math.exp(-alpha * (33.0 + 1.2 * (1.0 - alpha) / alpha)))
-    assert math.isclose(report.divergence - thermal_series_divergence(33.0, 1.2, alpha),
+    dropped = -math.log1p(-math.exp(-alpha * (35.0 + 1.2 * (1.0 - alpha) / alpha)))
+    assert math.isclose(report.divergence - thermal_series_divergence(35.0, 1.2, alpha),
                         dropped / (1.0 - alpha), rel_tol=1e-6)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.01])
 def test_thermal_mode_past_the_noise_floor_in_a_mixed_rho_counts_as_pure(alpha):
-    # rho's pure modes are counted one by one, so the t = 33 mode is taken as
-    # the vacuum next to a mixed one; the cost is that mode's dropped
-    # p(alpha t_Z), as for thermal_state(33) alone: 1.4e-2 at alpha = 0.1 and
-    # 0.25 at 0.01.  A t = 32 mode stays mixed
-    report = sandwiched_renyi(thermal_state([33.0, 1.0]), thermal_state([1.2, 0.8]), alpha)
+    # rho's pure modes are counted one by one, so the t = 35 mode is taken as
+    # the vacuum next to a mixed one (tau = 1.8e-15); the cost is that mode's
+    # dropped p(alpha t_Z), as for thermal_state(35) alone: 1.0e-2 at
+    # alpha = 0.1 and 0.25 at 0.01.  A t = 32 mode stays mixed
+    report = sandwiched_renyi(thermal_state([35.0, 1.0]), thermal_state([1.2, 0.8]), alpha)
     assert np.isinf(report.t_Z).sum() == 1
     rest = thermal_series_divergence(1.0, 0.8, alpha)
     assert math.isclose(report.divergence, coherent_thermal_divergence(0.0, 1.2, alpha) + rest,
                         rel_tol=1e-12)
-    dropped = -math.log1p(-math.exp(-alpha * (33.0 + 1.2 * (1.0 - alpha) / alpha)))
-    mixed = thermal_series_divergence(33.0, 1.2, alpha) + rest
+    dropped = -math.log1p(-math.exp(-alpha * (35.0 + 1.2 * (1.0 - alpha) / alpha)))
+    mixed = thermal_series_divergence(35.0, 1.2, alpha) + rest
     assert math.isclose(report.divergence - mixed, dropped / (1.0 - alpha), rel_tol=1e-6)
     report = sandwiched_renyi(thermal_state([32.0, 1.0]), thermal_state([1.2, 0.8]), alpha)
     assert np.isfinite(report.t_Z).all()
