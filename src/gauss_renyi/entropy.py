@@ -45,7 +45,7 @@ from .williamson import (PURE_TOL, d_to_t, pure_mode_count, symplectic_eigenvalu
 PAIR_FREE_GATE = 1e-7
 #: ... but only while Lambda stays clearly inside the trace-class region
 LAMBDA_GATE = 0.5
-#: covariance-path spectral gaps above 1/2 below this are eigensolver noise
+#: covariance-path gaps |d - 1/2| up to this are eigensolver noise: d is 1/2
 COV_GAP_FLOOR = 1e-13
 #: entries of the 2n x 2n form matrices stacked per pass of the per-order
 #: stage, which bounds a sweep's memory (a real stack of 256 KiB): every order
@@ -103,13 +103,13 @@ def reduce_to_thermal(rho: GaussianState, sigma: GaussianState
     physicality is checked by its own Williamson decomposition, after the
     checks that need no factorization.  Raises
     ModeMismatchError, UnphysicalStateError for an unphysical rho or sigma,
-    and NotFaithfulError if sigma has a pure mode.
+    and NotFaithfulError unless each of sigma's d - 1/2 exceeds PURE_TOL.
     """
     if rho.n != sigma.n:
         raise ModeMismatchError(f"mode mismatch: rho has {rho.n}, sigma has {sigma.n}")
     d = require_physical(rho, "rho")
     form = require_physical(sigma, "sigma", williamson_decompose)
-    if not np.isfinite(form.t).all():
+    if not (form.d - 0.5 > PURE_TOL).all():
         raise NotFaithfulError(
             "sigma must be faithful: every symplectic eigenvalue d must exceed 1/2 by "
             f"more than PURE_TOL = {PURE_TOL:.0e} (thermal parameter t below "
@@ -174,7 +174,8 @@ def _contracted_thermal_parameters(z: ContractedKernel) -> np.ndarray:
     del outer  # the fallback below holds the stage's largest arrays
     if not free.all():
         d = symplectic_eigenvalues(form_inverse(z, ~free) - 0.5 * np.eye(2 * n))
-        t[~free] = d_to_t(d, pure_tol=COV_GAP_FLOOR)
+        d[abs(d - 0.5) <= COV_GAP_FLOOR] = 0.5
+        t[~free] = d_to_t(d)
     t.sort(axis=-1)
     return t
 

@@ -23,9 +23,9 @@ contraction K = diag(k) maps M to I - K~ (I - M) K~ and b to K~ b, with
 K~ = diag(k, k), so a contracted kernel is the record (parent, k)
 (ContractedKernel), and its bordered form matrices, one per row of a stack
 of contractions, are w w^T o B + diag(1, ..., 1, 0), w = (k, k, 1), for one
-stacked Cholesky.  A plain kernel is traced as its contraction by k = 1.
-The t_Z stage's screen and quadruple read the n x n halves of M's Lam and
-pair parts, formed once per kernel (CoherentKernel._halves).
+stacked Cholesky.  The t_Z stage's screen and quadruple read the n x n
+halves of M's Lam and pair parts, formed once per kernel
+(CoherentKernel._halves).
 log_kernel_trace and form_inverse work on every entry at once through
 numpy.linalg's stacked (..., m, m) routines.  NumPy has no triangular
 solver, so Cholesky factors are never handed to its LU-based solve or inv:
@@ -106,14 +106,6 @@ class ContractedKernel:
     parent: CoherentKernel
     k: np.ndarray
 
-    @property
-    def log_c(self) -> float:
-        return self.parent.log_c
-
-    @property
-    def n(self) -> int:
-        return self.k.shape[-1]
-
     @cached_property
     def _form_factor(self):
         """Lower numpy.linalg Cholesky factor F of w w^T o B + diag(1, ..., 1, 0),
@@ -129,13 +121,6 @@ class ContractedKernel:
         bordered *= self.parent._form_base
         _add_to_diagonal(bordered, 1.0)  # the corner keeps _BORDER: 1 is below its ulp
         return _cholesky_factor(bordered, 2 * k.shape[-1])
-
-
-def _bordered_factor(kernel: CoherentKernel | ContractedKernel):
-    """Bordered factor of a contracted kernel, or of a plain one contracted by k = 1."""
-    if isinstance(kernel, CoherentKernel):
-        kernel = ContractedKernel(kernel, np.ones(kernel.n))
-    return kernel._form_factor
 
 
 def _cholesky_factor(matrix: np.ndarray, m: int):
@@ -169,10 +154,10 @@ def _add_to_diagonal(M: np.ndarray, value: float) -> None:
     M.reshape(M.shape[:-2] + (-1,))[..., ::M.shape[-1] + 1] += value
 
 
-def log_kernel_trace(kernel: CoherentKernel | ContractedKernel):
-    """ln Tr Z for a positive kernel, or an array of them for a stack of
-    contractions; raises NotTraceClassError unless M is positive definite
-    with every squared pivot above 1e-12 and b . M^{-1} b < _BORDER.
+def log_kernel_trace(z: ContractedKernel):
+    """ln Tr Z for a contracted positive kernel, or an array of them for a
+    stack of contractions; raises NotTraceClassError unless M is positive
+    definite with every squared pivot above 1e-12 and b . M^{-1} b < _BORDER.
 
     ln Tr Z = ln c - ln det M / 2 + b . M^{-1} b with b = (Re mu, -Im mu);
     the sign on the imaginary block comes from the conjugate slot of the
@@ -181,14 +166,14 @@ def log_kernel_trace(kernel: CoherentKernel | ContractedKernel):
     its leading block L, and b . M^{-1} b = |y|^2 over its last row
     y = L^{-1} b, with no solve.
     """
-    F = _bordered_factor(kernel)
+    F = z._form_factor
     if F is None:
         raise NotTraceClassError(
             "not trace class: form matrix not positive definite "
             f"(needs min eigenvalue > {FORM_MIN_EIG:.0e}), or {_PAST_BORDER}")
     logdet = 2.0 * np.log(F.diagonal(0, -2, -1)[..., :-1]).sum(axis=-1)
     y = F[..., -1:, :-1]
-    trace = kernel.log_c - 0.5 * logdet + (y @ y.swapaxes(-1, -2))[..., 0, 0]
+    trace = z.parent.log_c - 0.5 * logdet + (y @ y.swapaxes(-1, -2))[..., 0, 0]
     return trace if trace.ndim else float(trace)
 
 
@@ -233,9 +218,9 @@ def state_to_kernel(state: GaussianState) -> CoherentKernel:
     return CoherentKernel(-0.5 * logdet - quad, M, b)
 
 
-def form_inverse(kernel: CoherentKernel | ContractedKernel, orders=...) -> np.ndarray:
-    """M^{-1} = L^{-T} L^{-1} of a normalizable kernel; for a stack of
-    kernels, of the entries that orders selects.
+def form_inverse(z: ContractedKernel, orders=...) -> np.ndarray:
+    """M^{-1} = L^{-T} L^{-1} of a normalizable contracted kernel; for a
+    stack of them, of the entries that orders selects.
 
     L is the leading block of the bordered Cholesky factor that
     log_kernel_trace shares, inverted by lower_triangular_inverse.
@@ -244,7 +229,7 @@ def form_inverse(kernel: CoherentKernel | ContractedKernel, orders=...) -> np.nd
     UnphysicalStateError when the form matrix is singular or indefinite, or
     b . M^{-1} b >= _BORDER.
     """
-    F = _bordered_factor(kernel)
+    F = z._form_factor
     if F is None:
         raise UnphysicalStateError(
             f"kernel parameters do not describe a normalizable gaussian state, or {_PAST_BORDER}")
@@ -277,7 +262,7 @@ def kernel_to_state(kernel: CoherentKernel) -> GaussianState:
     return GaussianState(mean, 0.5 * (cov + cov.T))
 
 
-def apply_contraction(kernel: CoherentKernel | ContractedKernel, k: np.ndarray) -> ContractedKernel:
+def apply_contraction(kernel: CoherentKernel, k: np.ndarray) -> ContractedKernel:
     """Parameters of Gamma(K) Z Gamma(K) for a diagonal contraction K.
 
     Gamma(K) is the second quantization of K = diag(k); sandwiching maps
@@ -286,10 +271,7 @@ def apply_contraction(kernel: CoherentKernel | ContractedKernel, k: np.ndarray) 
     and NaN or inf raises ValueError.  A stack of contractions k of shape
     (m, n) gives the stack of m sandwiched kernels.  A real diagonal K
     keeps Lam positive semidefinite, so nothing is checked again.  The
-    result is the record (parent, k) (ContractedKernel); contracting a
-    contracted kernel multiplies the contractions,
-    Gamma(K2) Gamma(K1) = Gamma(K2 K1), so the parent is always a plain
-    kernel, which has the base.
+    result is the record (parent, k) (ContractedKernel).
     """
     k = np.array(k, dtype=float)
     if k.ndim not in (1, 2) or k.shape[-1] != kernel.n:
@@ -298,7 +280,5 @@ def apply_contraction(kernel: CoherentKernel | ContractedKernel, k: np.ndarray) 
         if not np.isfinite(k).all():
             raise ValueError(f"contraction entries must be finite, got {k}")
         raise ValueError(f"contraction violation: diagonal entries must be in [0, 1], got {k}")
-    if isinstance(kernel, ContractedKernel):
-        kernel, k = kernel.parent, kernel.k * k
     k.flags.writeable = False
     return ContractedKernel(kernel, k)

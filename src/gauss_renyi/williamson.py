@@ -6,7 +6,7 @@ L^T S L = D.  For a physical covariance the d_j are >= 1/2 and map to
 per-mode thermal parameters t_j via d = coth(t/2)/2.  Every check of a
 covariance lives here: real, finite, symmetric (SYMMETRY_TOL), positive
 definite, and the verdicts read off d with their thresholds: the Heisenberg
-bound (require_heisenberg), faithful (d_to_t) and pure modes (pure_mode_count).
+bound (require_heisenberg) and pure modes (pure_mode_count, d_to_t).
 
 Both the spectrum d and the congruence L come from one Cholesky factor
 S = R R^T, which is also the positive-definiteness test, and one
@@ -16,7 +16,8 @@ V diag(d), R^{-T} V = i (J R) V / d carries V back without a solve.
 
 The spectrum of one matrix carries its input's noise floor tau(S), read off
 the same factor (_snap_pure): each d_j within tau of 1/2 is returned as
-exactly 1/2, a pure mode, so the Heisenberg slack is max(PHYSICAL_TOL, tau).
+exactly 1/2, so the Heisenberg slack is max(PHYSICAL_TOL, tau), and a mode
+is pure iff its d <= 1/2.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ SYMMETRY_TOL = 1e-12
 PHYSICAL_TOL = 1e-10
 #: residue allowed in the symplectic condition L^T J L = J
 SYMPLECTIC_TOL = 1e-10
-#: symplectic eigenvalues within this of 1/2 are treated as pure
+#: faithfulness margin of a reference state: each d - 1/2 must exceed it
+#: (entropy.reduce_to_thermal)
 PURE_TOL = 1e-9
 #: a computed d_j within PURE_FLOOR eps max(kappa_s, ||S||_F) of 1/2 is
 #: exactly 1/2 (_snap_pure): its input cannot tell it from 1/2
@@ -66,8 +68,8 @@ def require_heisenberg(d) -> None:
 
 
 def pure_mode_count(d) -> int:
-    """Number of pure modes, the d_j equal to 1/2, in a symplectic_eigenvalues spectrum."""
-    return int((d == 0.5).sum())
+    """Number of pure modes, the d_j <= 1/2, in a symplectic_eigenvalues spectrum."""
+    return int((d <= 0.5).sum())
 
 
 def _real(x, name: str) -> np.ndarray:
@@ -192,17 +194,17 @@ def lower_triangular_inverse(L: np.ndarray) -> np.ndarray:
     return inv
 
 
-def d_to_t(d, pure_tol: float = PURE_TOL):
+def d_to_t(d):
     """Map symplectic eigenvalues to thermal parameters, t = ln((d+1/2)/(d-1/2)),
     elementwise over an array of any shape.
 
-    Values within pure_tol of 1/2 map to inf; values below 1/2 - PHYSICAL_TOL
+    Pure modes, d <= 1/2, map to inf; values below 1/2 - PHYSICAL_TOL
     raise UnphysicalStateError.
     """
     d = np.asarray(d, dtype=float)
     require_heisenberg(d)
-    gap = np.maximum(d - 0.5, 0.0)
-    t = np.where(gap <= pure_tol, np.inf, np.log1p(1.0 / np.where(gap > 0, gap, 1.0)))
+    gap = d - 0.5
+    t = np.where(gap > 0, np.log1p(1.0 / np.where(gap > 0, gap, 1.0)), np.inf)
     return t if t.ndim else float(t)
 
 

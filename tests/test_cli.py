@@ -225,6 +225,12 @@ def test_williamson_vacuum(states, capsys):
     payload = json.loads(out)
     assert payload["d"] == [0.5]
     assert payload["t"] == ["inf"]
+    # a mode 5e-10 above 1/2 is mixed: its t is printed finite
+    near = write(states["dir"], "near.json", {"thermal": [21.4, 1.0]})
+    code, out, _ = run(capsys, ["williamson", near, "--format", "json"])
+    assert code == 0
+    t = json.loads(out)["t"]
+    assert t[0] == 1.0 and math.isclose(t[-1], 21.4, rel_tol=1e-6)
 
 
 def test_williamson_thermal_ln2(states, capsys):

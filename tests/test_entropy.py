@@ -631,7 +631,7 @@ def test_partly_pure_rho_in_random_frames_matches_closed_forms(n, seed):
 @pytest.mark.parametrize("rho", [
     thermal_state(32.0),  # d - 1/2 = 1.3e-14: above the purity noise floor
     thermal_state(33.0),  # d - 1/2 = 4.7e-15: above its floor tau = 1.3e-15
-    thermal_state(math.log1p(1.0 / 5e-10)),  # within PURE_TOL, but mixed (t = 21.4)
+    thermal_state(math.log1p(1.0 / 5e-10)),  # inside sigma's PURE_TOL, but mixed (t = 21.4)
 ], ids=["t=32", "t=33", "gap=5e-10"])
 def test_nearly_pure_rho_keeps_finite_t_z(rho):
     report = sandwiched_renyi(rho, thermal_state(1.2), 0.1)

@@ -11,7 +11,8 @@ the trace and, on the fallback branch, the covariance, and the t_Z spectrum
 (one eigensolve, or on the fallback branch the covariance's Cholesky and
 one eigensolve).  The contracted kernel's Lambda is not checked again.
 A pure rho skips the t_Z spectrum (every t_Z is inf): 6 per call, and per
-order the trace's Cholesky alone.
+order the trace's Cholesky alone.  A mode is pure iff its d <= 1/2, so a
+rho whose every d sits within the Heisenberg slack below 1/2 costs the same.
 
 The per-order stage runs on stacks of orders, so a stacked (..., m, m)
 argument counts once per matrix, as perfbench's LinalgCounter counts it.
@@ -20,7 +21,7 @@ so a factorization that a helper such as norm(x, 2) runs is counted.
 
 No Cholesky factor goes through an LU: test_no_solve_and_small_inverses
 pins that the pipeline calls numpy.linalg.solve nowhere and inv only on the
-diagonal blocks of kernel.lower_triangular_inverse.
+diagonal blocks of williamson.lower_triangular_inverse.
 """
 
 import importlib
@@ -57,6 +58,8 @@ FALLBACK_RHO = tensor(squeezed_vacuum(0.4), thermal_state(1.0))
 #: pure, with a pair block A and a displacement: no t_Z spectrum at all
 PURE_RHO = GaussianState(np.array([0.3, -0.2, 0.1, 0.4]),
                          tensor(squeezed_vacuum(0.4), coherent_state(0.0)).cov)
+#: every d = 1/2 - 5e-11, inside the Heisenberg slack: pure, so no t_Z spectrum
+SUB_HALF_RHO = GaussianState(np.zeros(4), np.diag([0.5 - 5e-11] * 4))
 #: ten modes, so the 20 x 20 factors are inverted by blocks
 SIGMA_10 = thermal_state(np.linspace(0.8, 1.5, 10))
 PAIR_FREE_RHO_10 = GaussianState(np.linspace(-0.4, 0.5, 20),
@@ -115,6 +118,7 @@ def factorizations(counts, call) -> tuple[int, int]:
     (PAIR_FREE_RHO, 8, 2, 0),
     (FALLBACK_RHO, 9, 3, 1),
     (PURE_RHO, 6, 1, 0),
+    (SUB_HALF_RHO, 6, 1, 0),
 ])
 def test_factorization_count(counts, rho, per_call, per_order, branch):
     single, fallbacks = factorizations(
@@ -131,7 +135,8 @@ def test_factorization_count(counts, rho, per_call, per_order, branch):
     assert (three - one) / 2 <= per_order
 
 
-@pytest.mark.parametrize("rho,per_call", [(PAIR_FREE_RHO, 7), (FALLBACK_RHO, 8), (PURE_RHO, 6)])
+@pytest.mark.parametrize("rho,per_call", [(PAIR_FREE_RHO, 7), (FALLBACK_RHO, 8), (PURE_RHO, 6),
+                                          (SUB_HALF_RHO, 6)])
 def test_rho_kernel_factorizations(counts, rho, per_call):
     """rho's kernel costs its Cholesky alone: no eigensolve of its Lambda."""
     rho_prime, _, _ = entropy.reduce_to_thermal(rho, SIGMA)
@@ -172,7 +177,7 @@ def test_no_solve_and_small_inverses(counts, solves, rho, sigma, branch):
         assert fallbacks == branch * orders
         assert [call for call in solves if call[0] == "solve"] == []
         sizes = {size for _, size, _ in solves}
-        assert sizes and max(sizes) <= 16  # kernel._TRI_LEAF
+        assert sizes and max(sizes) <= 16  # williamson._TRI_LEAF
         # the diagonal blocks of each inverted 2n x 2n factor add up to 2n:
         # one factor for rho's kernel and, on the fallback, one per order
         inverted = sum(size * count for _, size, count in solves)

@@ -9,8 +9,8 @@ from helpers import symplectic_residual
 from gauss_renyi.exceptions import DecompositionError, UnphysicalStateError
 from gauss_renyi.sampling import random_faithful_state, random_symplectic
 from gauss_renyi.states import MAX_SQUEEZE, gaussian_transform, squeezed_vacuum, thermal_state
-from gauss_renyi.williamson import (WilliamsonForm, d_to_t, symplectic_eigenvalues,
-                                    t_to_d, williamson_decompose)
+from gauss_renyi.williamson import (WilliamsonForm, d_to_t, pure_mode_count,
+                                    symplectic_eigenvalues, t_to_d, williamson_decompose)
 
 LN2 = math.log(2.0)
 
@@ -20,6 +20,11 @@ def test_d_to_t_frozen_points():
     assert d_to_t(0.5) == math.inf
     assert np.isclose(t_to_d(LN2), 1.5, atol=1e-14)
     assert t_to_d(math.inf) == 0.5
+    # one purity verdict: a mode inside the Heisenberg slack below 1/2 is pure
+    # for the count and for d_to_t alike
+    d = symplectic_eigenvalues(np.diag([1.5, 0.5 - 5e-11] * 2))
+    assert d[-1] == 0.5 - 5e-11 and pure_mode_count(d) == 1
+    assert d_to_t(d)[-1] == math.inf
 
 
 def test_d_t_round_trip():
@@ -110,6 +115,9 @@ def test_pure_squeezed_maps_to_inf():
         form = williamson_decompose(squeezed_vacuum(r).cov)
         assert np.allclose(form.d, [0.5], atol=1e-12)
         assert form.t[0] == math.inf
+    # d - 1/2 = 5e-10 is resolved, so the mode stays mixed
+    form = williamson_decompose(thermal_state([21.4, 1.0]).cov)
+    assert math.isclose(form.t[-1], 21.4, rel_tol=1e-6)
 
 
 def test_unphysical_covariance_rejected():
