@@ -12,6 +12,9 @@ and assemble
 where p(t) = prod_j (1 - e^(-t_j)) and p(inf) = 1.  All products of p and
 the trace are accumulated in the log domain.
 
+Each order reads t_Z off its sandwich's K Lambda K while a bound on the
+pair block A allows it, and off the sandwich's covariance otherwise.
+
 sigma is faithful, so the sandwich has as many pure modes as rho: as many
 of its largest t_Z as rho has pure modes (williamson.pure_mode_count, read
 off the spectrum of its physicality check) are inf.  For a pure rho that
@@ -39,12 +42,10 @@ from .states import GaussianState, gaussian_transform, require_physical
 from .williamson import (PURE_TOL, d_to_t, pure_mode_count, symplectic_eigenvalues,
                          williamson_decompose)
 
-#: kernels whose pair block A is below this are treated as pair-free; their
-#: thermal spectrum is then read off Lambda directly (corrections enter at
-#: order |A|^2)
-PAIR_FREE_GATE = 1e-7
-#: ... but only while Lambda stays clearly inside the trace-class region
-LAMBDA_GATE = 0.5
+#: relative error in e^(-t_Z) that reading t_Z off K Lambda K may leave: an
+#: order's is at most 4 ||K A K||_F^2 / (1 - ||K Lambda K||_2^2) (equal for
+#: one mode), and this is that bound at |K A K| = 1e-7, ||K Lambda K||_2 = 1/2
+PAIR_FREE_ERROR = 4 * 1e-7 ** 2 / (1 - 0.5 ** 2)
 #: covariance-path gaps |d - 1/2| up to this are eigensolver noise: d is 1/2
 COV_GAP_FLOOR = 1e-13
 #: entries of the 2n x 2n form matrices stacked per pass of the per-order
@@ -112,8 +113,8 @@ def reduce_to_thermal(rho: GaussianState, sigma: GaussianState
     if not (form.d - 0.5 > PURE_TOL).all():
         raise NotFaithfulError(
             "sigma must be faithful: every symplectic eigenvalue d must exceed 1/2 by "
-            f"more than PURE_TOL = {PURE_TOL:.0e} (thermal parameter t below "
-            f"{np.log1p(1.0 / PURE_TOL):.3g}), or its mode counts as pure; "
+            f"more than the faithfulness margin PURE_TOL = {PURE_TOL:.0e} (thermal "
+            f"parameter t below {np.log1p(1.0 / PURE_TOL):.3g}); "
             f"got d - 1/2 = {np.array2string(form.d - 0.5, precision=3)}")
     rho_prime = gaussian_transform(rho, form.L, shift=sigma.mean)
     return rho_prime, form.t, pure_mode_count(d)
@@ -142,38 +143,36 @@ def _contracted_thermal_parameters(z: ContractedKernel) -> np.ndarray:
     """Thermal parameters t_Z of each contracted sandwich of a stack, ascending.
 
     The final assembly needs alpha * t_Z, so t_Z must stay accurate even
-    when a strong contraction makes it large.  With a negligible pair
-    block A and ||Lambda||_2 <= LAMBDA_GATE, the eigenvalues of Lambda are
-    e^(-t_Z) directly and keep full relative precision at any size.  For a
-    hermitian Lambda the 2-norm is its largest eigenvalue modulus, so one
-    stacked eigvalsh gives both; max_j Lambda_jj <= lambda_max screens out,
-    before any eigensolve, the orders whose norm must exceed the gate.  The
-    screen reads max k_i k_j |A'_ij| and k_j^2 Lambda'_jj off the parent
-    kernel's halves (CoherentKernel._halves), and Lambda' is formed only for
-    the eigvalsh of the orders that pass it.  The other orders fall back on
-    the symplectic spectrum of the covariance, whose gap above 1/2 resolves
-    e^(-t_Z) only down to the eigensolver noise floor.  It is taken of
-    M^{-1} - I/2 = J S J^T, which has the spectrum of the covariance S
-    without its J-congruence, and M^{-1} comes from the form-matrix
-    Cholesky factor that log_kernel_trace has taken.  That matrix is handed
-    on unnamed, so the spectrum's stage frees it once it has its
-    symmetrized copy.
+    when a strong contraction makes it large.  The eigenvalues of K Lambda K
+    are e^(-t_Z) to a relative error of at most
+    4 ||K A K||_F^2 / (1 - ||K Lambda K||_2^2), at any size of t_Z, and an
+    order reads t_Z off them iff that is at most PAIR_FREE_ERROR.
+    4 ||K A K||_F^2 = (k^2)^T |2A|^2 (k^2) comes off the parent kernel's
+    halves (CoherentKernel._halves) and screens out, before any eigensolve,
+    the orders above PAIR_FREE_ERROR itself; the stacked eigvalsh of the
+    rest gives the 2-norm as its largest modulus.  The other orders fall
+    back on the symplectic spectrum of the covariance, whose gap above 1/2
+    resolves e^(-t_Z) only down to the eigensolver noise floor.  It is taken
+    of M^{-1} - I/2 = J S J^T, which has the spectrum of the covariance S
+    without its J-congruence, and M^{-1} comes from the form-matrix Cholesky
+    factor that log_kernel_trace has taken.  That matrix is handed on
+    unnamed, so the spectrum's stage frees it once it has its symmetrized
+    copy.
     """
     k, (p11, p21, q11, q12) = z.k, z.parent._halves
-    n = k.shape[-1]
     t = np.empty(k.shape)
-    outer = k[:, :, None] * k[:, None, :]
-    free = (((outer * (0.5 * np.hypot(q11, q12))).max(axis=(-2, -1)) <= PAIR_FREE_GATE)
-            & ((outer.diagonal(0, -2, -1) * -p11.diagonal()).max(axis=-1) <= LAMBDA_GATE))
+    k2 = k * k
+    pair = ((k2 @ (q11 * q11 + q12 * q12)) * k2).sum(axis=-1)  # 4 ||K A K||_F^2
+    free = pair <= PAIR_FREE_ERROR
     if free.any():
-        lam = np.linalg.eigvalsh(outer[free] * -(p11 + 1j * p21))
-        inside = abs(lam).max(axis=-1) <= LAMBDA_GATE  # ||Lambda||_2 <= LAMBDA_GATE
+        kf = k[free]
+        lam = np.linalg.eigvalsh(kf[:, :, None] * kf[:, None, :] * -(p11 + 1j * p21))
+        inside = pair[free] <= PAIR_FREE_ERROR * (1.0 - abs(lam).max(axis=-1) ** 2)
         free[free] = inside
         lam = lam[inside]
         t[free] = np.where(lam > 0.0, -np.log(np.where(lam > 0.0, lam, 1.0)), np.inf)
-    del outer  # the fallback below holds the stage's largest arrays
     if not free.all():
-        d = symplectic_eigenvalues(form_inverse(z, ~free) - 0.5 * np.eye(2 * n))
+        d = symplectic_eigenvalues(form_inverse(z, ~free) - 0.5 * np.eye(2 * k.shape[-1]))
         d[abs(d - 0.5) <= COV_GAP_FLOOR] = 0.5
         t[~free] = d_to_t(d)
     t.sort(axis=-1)

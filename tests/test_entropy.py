@@ -190,9 +190,8 @@ def fallback_orders(monkeypatch) -> list:
     return seen
 
 
-#: rho at t = 0.3 in every mode against sigma's [2.0, 1.5, 2.4]: the contracted
-#: Lambda = k^2 e^-0.3 passes LAMBDA_GATE at low orders, and above about
-#: alpha = 0.79 t_Z takes the covariance fallback
+#: rho at t = 0.3 in every mode against sigma's [2.0, 1.5, 2.4]: A = 0, so
+#: every order reads t_Z off K Lambda K = k^2 e^-0.3, up to 0.73 at alpha = 0.99
 MIXED_RHO, MIXED_SIGMA, MIXED_S = thermal_state([0.3] * 3), thermal_state([2.0, 1.5, 2.4]), (2.0, 1.5, 2.4)
 
 
@@ -200,7 +199,7 @@ def test_mixed_branch_sweep_matches_series_and_single_calls(monkeypatch):
     grid = np.linspace(0.3, 0.99, 64)
     fallbacks = fallback_orders(monkeypatch)
     reports = sandwiched_renyi_sweep(MIXED_RHO, MIXED_SIGMA, grid)
-    assert len(fallbacks) == 1 and 0 < fallbacks[0] < grid.size  # one stack, both branches
+    assert fallbacks == []  # pair-free at every order
     for alpha, report in zip(grid, reports):
         assert report.alpha == alpha
         series = sum(thermal_series_divergence(0.3, s, alpha) for s in MIXED_S)
@@ -260,27 +259,102 @@ def test_sweep_keeps_input_order():
     assert sandwiched_renyi_sweep(MIXED_RHO, MIXED_SIGMA, []) == []
 
 
-def test_lambda_gate_uses_the_spectral_norm(monkeypatch):
-    # a 50:50 beam splitter on rho leaves A = 0 but makes Lambda non-diagonal:
-    # its diagonal then passes LAMBDA_GATE at orders where its norm does not,
-    # and those orders must still take the covariance fallback
-    o = np.sqrt(0.5) * np.array([[1.0, 1.0], [-1.0, 1.0]])
-    rho = gaussian_transform(thermal_state([0.1, 3.0]), np.kron(np.eye(2), o))
-    sigma = thermal_state([1.0, 1.3])
-    kernel = state_to_kernel(reduce_to_thermal(rho, sigma)[0])
-    grid = np.linspace(0.3, 0.99, 24)
+#: a 50:50 beam splitter on both modes, as the block matrix of gaussian_transform
+BEAM_SPLITTER = np.kron(np.eye(2), np.sqrt(0.5) * np.array([[1.0, 1.0], [-1.0, 1.0]]))
+
+
+def contracted_blocks(rho, s, alpha):
+    """K A K and K Lambda K of rho's contracted kernel in the frame of thermal(s)."""
+    kernel = state_to_kernel(reduce_to_thermal(rho, thermal_state(s))[0])
+    _, A, lam = kernel.quadruple()
+    k = fractional_power_contraction(s, alpha)
+    return np.outer(k, k) * A, np.outer(k, k) * lam
+
+
+def test_pair_free_without_pairs_at_every_order(monkeypatch):
+    # the beam splitter leaves A = 0 but makes Lambda non-diagonal; the orders
+    # where ||K Lambda K||_2 passes 1/2 read t_Z off K Lambda K too, within
+    # 1e-13 of the covariance route
+    rho = gaussian_transform(thermal_state([0.1, 3.0]), BEAM_SPLITTER)
+    sigma, grid = thermal_state([1.0, 1.3]), np.linspace(0.3, 0.99, 24)
+    hot = [np.linalg.norm(contracted_blocks(rho, [1.0, 1.3], a)[1], 2) > 0.5 for a in grid]
+    assert 0 < sum(hot) < grid.size
+    fallbacks = fallback_orders(monkeypatch)
+    reports = [sandwiched_renyi(rho, sigma, alpha) for alpha in grid]
+    assert fallbacks == []
+    monkeypatch.setattr(entropy, "PAIR_FREE_ERROR", -1.0)  # every order falls back
+    for report, moved in zip(reports, hot):
+        if moved:
+            covariance = sandwiched_renyi(rho, sigma, report.alpha)
+            assert abs(report.divergence - covariance.divergence) < 1e-13
+            assert np.abs(report.t_Z - covariance.t_Z).max() < 1e-13
+
+
+def test_pair_free_bound_reads_the_spectral_norm(monkeypatch):
+    # a hot rho squeezed by 3e-7 in the beam splitter's frame: its orders
+    # cross the bound inside one stack, and take the fallback exactly where
+    # 4 ||K A K||_F^2 / (1 - ||K Lambda K||_2^2) exceeds PAIR_FREE_ERROR; with
+    # Lambda's largest diagonal entry in place of its norm, some would not
+    r = 3e-7
+    rho = gaussian_transform(thermal_state([0.1, 3.0]),
+                             BEAM_SPLITTER @ np.diag(np.exp([r, r, -r, -r])))
+    sigma, grid = thermal_state([1.0, 1.3]), np.linspace(0.3, 0.99, 64)
     expected, diagonal_only = [], 0
     for alpha in grid:
-        k = fractional_power_contraction([1.0, 1.3], alpha)
-        lam = np.outer(k, k) * kernel.quadruple()[2]  # K Lambda K of the contracted sandwich
-        expected.append(np.linalg.norm(lam, 2) > entropy.LAMBDA_GATE)
-        diagonal_only += expected[-1] and np.max(np.diag(lam).real) <= entropy.LAMBDA_GATE
-    assert 0 < diagonal_only and not all(expected)
+        pairs, lam = contracted_blocks(rho, [1.0, 1.3], alpha)
+        pair = 4 * np.linalg.norm(pairs) ** 2
+        expected.append(pair > entropy.PAIR_FREE_ERROR * (1 - np.linalg.norm(lam, 2) ** 2))
+        diagonal = pair > entropy.PAIR_FREE_ERROR * (1 - np.diag(lam).real.max() ** 2)
+        diagonal_only += expected[-1] and not diagonal
+    assert 0 < diagonal_only and 0 < sum(expected) < grid.size
     fallbacks = fallback_orders(monkeypatch)
-    for alpha, fallback in zip(grid, expected):
+    reports = sandwiched_renyi_sweep(rho, sigma, grid)
+    assert fallbacks == [sum(expected)]  # one stack, both branches
+    for alpha, report, fallback in zip(grid, reports, expected):
         fallbacks.clear()
-        sandwiched_renyi(rho, sigma, alpha)
+        assert_same_report(report, sandwiched_renyi(rho, sigma, alpha))
         assert fallbacks == ([1] if fallback else [])
+
+
+def branch_exp_t_z(monkeypatch, rho, s, alpha, pair_free: bool) -> np.ndarray:
+    """e^-t_Z of one order, ascending, with every order forced onto one branch."""
+    monkeypatch.setattr(entropy, "PAIR_FREE_ERROR", np.inf if pair_free else -1.0)
+    kernel = state_to_kernel(reduce_to_thermal(rho, thermal_state(s))[0])
+    z = entropy.apply_contraction(kernel, fractional_power_contraction(s, [alpha]))
+    return np.sort(np.exp(-entropy._contracted_thermal_parameters(z)[0]))
+
+
+#: relative rounding of the covariance fallback's e^-t_Z on these inputs: at
+#: most 9.2e-14 over 200 unsqueezed pairs, where the bound is 0
+FALLBACK_ROUNDING = 2e-13
+
+
+def test_pair_free_error_bound(rng, monkeypatch):
+    # reading t_Z off K Lambda K misses the fallback's e^-t_Z by at most
+    # 4 ||K A K||_F^2 / (1 - lambda_max^2) relative, for pairs squeezed by
+    # 1e-6 to 1e-3, which is what PAIR_FREE_ERROR bounds
+    worst = 0.0
+    for trial in range(40):
+        n, eps = 2 + trial % 3, 10.0 ** rng.uniform(-6, -3)
+        r = rng.uniform(-eps, eps, size=n)
+        frame = (random_orthogonal_symplectic(rng, n) @ np.diag(np.exp(np.concatenate([r, -r])))
+                 @ random_orthogonal_symplectic(rng, n))
+        rho = gaussian_transform(thermal_state(rng.uniform(0.25, 2.2, size=n)), frame)
+        s, alpha = np.sort(rng.uniform(0.5, 2.0, size=n)), rng.uniform(0.3, 0.95)
+        free = branch_exp_t_z(monkeypatch, rho, s, alpha, True)
+        error = np.abs(free / branch_exp_t_z(monkeypatch, rho, s, alpha, False) - 1).max()
+        pairs, _ = contracted_blocks(rho, s, alpha)
+        bound = 4 * np.linalg.norm(pairs) ** 2 / (1 - free.max() ** 2)
+        assert error <= bound + FALLBACK_ROUNDING
+        worst = max(worst, error / bound)
+    assert 0.2 < worst  # the bound is not loose by orders of magnitude
+    # one mode meets it with equality: K Lambda K is low by 4 |K A K|^2 / (1 - lambda^2)
+    for t, s, alpha, r in [(0.3, 1.0, 0.5, 1e-3), (0.1, 0.5, 0.9, 1e-3), (0.05, 0.2, 0.95, 1e-4)]:
+        rho = gaussian_transform(thermal_state(t), np.diag([np.exp(r), np.exp(-r)]))
+        free = branch_exp_t_z(monkeypatch, rho, [s], alpha, True)
+        error = 1 - free[0] / branch_exp_t_z(monkeypatch, rho, [s], alpha, False)[0]
+        pairs, _ = contracted_blocks(rho, [s], alpha)
+        assert abs(error * (1 - free[0] ** 2) / abs(pairs[0, 0]) ** 2 - 4) < 1e-4
 
 
 def test_reduce_to_thermal_orders_parameters(rng):
@@ -302,6 +376,7 @@ def test_near_pure_sigma_names_the_pure_limit():
     message = str(err.value)
     assert "PURE_TOL = 1e-09" in message and "t below 20.7" in message
     assert "got d - 1/2 = [9.3" in message
+    assert "counts as pure" not in message  # such a mode is mixed, and fails the margin
 
 
 def test_mode_count_mismatch(rng):

@@ -60,6 +60,9 @@ PURE_RHO = GaussianState(np.array([0.3, -0.2, 0.1, 0.4]),
                          tensor(squeezed_vacuum(0.4), coherent_state(0.0)).cov)
 #: every d = 1/2 - 5e-11, inside the Heisenberg slack: pure, so no t_Z spectrum
 SUB_HALF_RHO = GaussianState(np.zeros(4), np.diag([0.5 - 5e-11] * 4))
+#: hot and thermal against a hot sigma: A = 0 with ||K Lambda K||_2 > 1/2 at
+#: every order counted (0.75 at alpha = 0.3), and t_Z is still read off Lambda
+HOT_RHO, HOT_SIGMA = thermal_state([0.05, 0.3]), thermal_state([0.1, 0.2])
 #: ten modes, so the 20 x 20 factors are inverted by blocks
 SIGMA_10 = thermal_state(np.linspace(0.8, 1.5, 10))
 PAIR_FREE_RHO_10 = GaussianState(np.linspace(-0.4, 0.5, 20),
@@ -119,16 +122,18 @@ def factorizations(counts, call) -> tuple[int, int]:
     (FALLBACK_RHO, 9, 3, 1),
     (PURE_RHO, 6, 1, 0),
     (SUB_HALF_RHO, 6, 1, 0),
+    ((HOT_RHO, HOT_SIGMA), 8, 2, 0),
 ])
 def test_factorization_count(counts, rho, per_call, per_order, branch):
+    rho, sigma = rho if isinstance(rho, tuple) else (rho, SIGMA)  # (rho, its own sigma)
     single, fallbacks = factorizations(
-        counts, lambda: entropy.sandwiched_renyi(rho, SIGMA, 0.5))
+        counts, lambda: entropy.sandwiched_renyi(rho, sigma, 0.5))
     assert fallbacks == branch
     assert single <= per_call
-    assert counts.get("svd", 0) == 0  # the t_Z gate reads Lambda's norm off its eigvalsh
-    one, _ = factorizations(counts, lambda: entropy.sandwiched_renyi_sweep(rho, SIGMA, [0.5]))
+    assert counts.get("svd", 0) == 0  # the t_Z bound reads Lambda's norm off its eigvalsh
+    one, _ = factorizations(counts, lambda: entropy.sandwiched_renyi_sweep(rho, sigma, [0.5]))
     three, fallbacks = factorizations(
-        counts, lambda: entropy.sandwiched_renyi_sweep(rho, SIGMA, [0.3, 0.5, 0.7]))
+        counts, lambda: entropy.sandwiched_renyi_sweep(rho, sigma, [0.3, 0.5, 0.7]))
     assert fallbacks == 3 * branch
     assert counts.get("svd", 0) == 0
     assert one == single
