@@ -27,10 +27,12 @@ stacked Cholesky.  The t_Z stage's screen and quadruple read the n x n
 halves of M's Lam and pair parts, formed once per kernel
 (CoherentKernel._halves).
 log_kernel_trace and form_inverse work on every entry at once through
-numpy.linalg's stacked (..., m, m) routines.  NumPy has no triangular
-solver, so Cholesky factors are never handed to its LU-based solve or inv:
-the trace reads b . M^{-1} b off the bordered factor, and inverses of
-factors come from lower_triangular_inverse.
+numpy.linalg's stacked (..., m, m) routines.  Only the trace asks for a
+pivot margin (FORM_MIN_EIG) on its factor; kernel_to_state, the inverse
+map, factors the record's M itself and needs M positive definite alone.
+NumPy has no triangular solver, so Cholesky factors are never handed to
+its LU-based solve or inv: the trace reads b . M^{-1} b off the bordered
+factor, and inverses of factors come from lower_triangular_inverse.
 """
 
 from __future__ import annotations
@@ -111,30 +113,22 @@ class ContractedKernel:
         """Lower numpy.linalg Cholesky factor F of w w^T o B + diag(1, ..., 1, 0),
         w = (k, k, 1), from the parent's base B, or None unless M is positive
         definite with every squared pivot above FORM_MIN_EIG and
-        b . M^{-1} b < _BORDER (for a stack: every entry).
-        F's leading block is M's factor L, and its last row is y = L^{-1} b,
-        so the trace's b . M^{-1} b = |y|^2 needs no solve.
+        b . M^{-1} b < _BORDER (for a stack: every entry).  The factorization
+        is the definiteness test, so no eigensolve runs; a squared pivot is
+        never below the smallest eigenvalue, so the margin bounds pivots, not
+        the spectrum.  F's leading block is M's factor L, and its last row is
+        y = L^{-1} b, so the trace's b . M^{-1} b = |y|^2 needs no solve.
         """
         k = self.k
         w = np.concatenate([k, k, np.ones(k.shape[:-1] + (1,))], axis=-1)
         bordered = w[..., :, None] * w[..., None, :]
         bordered *= self.parent._form_base
         _add_to_diagonal(bordered, 1.0)  # the corner keeps _BORDER: 1 is below its ulp
-        return _cholesky_factor(bordered, 2 * k.shape[-1])
-
-
-def _cholesky_factor(matrix: np.ndarray, m: int):
-    """Lower numpy.linalg Cholesky factor of matrix, or None unless it is
-    positive definite with its first m squared pivots above FORM_MIN_EIG
-    (for a stack: every entry).  The factorization is the definiteness
-    test, so no eigensolve runs; a squared pivot is never below the smallest
-    eigenvalue, so the margin bounds pivots, not the spectrum.
-    """
-    try:
-        F = np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        return None
-    return F if float(F.diagonal(0, -2, -1)[..., :m].min()) ** 2 > FORM_MIN_EIG else None
+        try:
+            F = np.linalg.cholesky(bordered)
+        except np.linalg.LinAlgError:
+            return None
+        return F if float(F.diagonal(0, -2, -1)[..., :-1].min()) ** 2 > FORM_MIN_EIG else None
 
 
 def _turn(X: np.ndarray) -> np.ndarray:
@@ -219,21 +213,16 @@ def state_to_kernel(state: GaussianState) -> CoherentKernel:
 
 
 def form_inverse(z: ContractedKernel, orders=...) -> np.ndarray:
-    """M^{-1} = L^{-T} L^{-1} of a normalizable contracted kernel; for a
-    stack of them, of the entries that orders selects.
+    """M^{-1} = L^{-T} L^{-1} of a contracted kernel whose trace
+    log_kernel_trace has taken; for a stack of them, of the entries that
+    orders selects.
 
     L is the leading block of the bordered Cholesky factor that
     log_kernel_trace shares, inverted by lower_triangular_inverse.
     M^{-1} - I/2 = J S J^T is the covariance S of the kernel's state turned
-    by the symplectic J, so it has S's symplectic spectrum.  Raises
-    UnphysicalStateError when the form matrix is singular or indefinite, or
-    b . M^{-1} b >= _BORDER.
+    by the symplectic J, so it has S's symplectic spectrum.
     """
-    F = z._form_factor
-    if F is None:
-        raise UnphysicalStateError(
-            f"kernel parameters do not describe a normalizable gaussian state, or {_PAST_BORDER}")
-    Li = lower_triangular_inverse(F[orders, :-1, :-1])
+    Li = lower_triangular_inverse(z._form_factor[orders, :-1, :-1])
     return Li.swapaxes(-1, -2) @ Li
 
 
@@ -242,18 +231,19 @@ def kernel_to_state(kernel: CoherentKernel) -> GaussianState:
 
     S = J^T M^{-1} J - I/2 and mean = Xi M^{-1} b, Xi = diag(I, -I), invert
     state_to_kernel.  M^{-1} = L^{-T} L^{-1} comes from the record's M and
-    its own Cholesky factor L, not the trace's bordered one, so the
-    displacement has no limit here below overflow.  M holds
+    its own plain Cholesky factor L, not the trace's bordered one, so it
+    needs M positive definite and nothing more: neither the trace's pivot
+    margin FORM_MIN_EIG nor its border applies here.  M holds
     G = (I/2 + S)^{-1} to relative rounding, so a hot mode (symplectic
-    eigenvalue d) comes back to a few eps relative, and fails from
-    d ~ 1/FORM_MIN_EIG.  Raises UnphysicalStateError when the form matrix
-    is singular or indefinite (a squared pivot at most FORM_MIN_EIG).
+    eigenvalue d) comes back to a few eps relative, up to overflow.  Raises
+    UnphysicalStateError when the form matrix is not positive definite.
     """
     n = kernel.n
-    L = _cholesky_factor(kernel.M, 2 * n)
-    if L is None:
+    try:
+        L = np.linalg.cholesky(kernel.M)
+    except np.linalg.LinAlgError:
         raise UnphysicalStateError(
-            "kernel parameters do not describe a normalizable gaussian state")
+            "kernel parameters do not describe a normalizable gaussian state") from None
     Li = lower_triangular_inverse(L)
     inv = Li.T @ Li
     cov = _turn(inv)

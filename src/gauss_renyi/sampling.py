@@ -24,13 +24,11 @@ def random_symplectic(rng: np.random.Generator, n: int, max_squeeze: float = 0.6
     return random_orthogonal_symplectic(rng, n) @ z @ random_orthogonal_symplectic(rng, n)
 
 
-def random_faithful_state(rng: np.random.Generator, n: int, *,
-                          t_range: tuple[float, float] = (0.25, 2.2),
-                          mean_scale: float = 0.5,
+def random_faithful_state(rng: np.random.Generator, n: int, *, mean_scale: float = 0.5,
                           max_squeeze: float = 0.6) -> GaussianState:
     """Random faithful Gaussian state: symplectic twirl of a thermal state
-    plus a Gaussian-distributed mean."""
-    t = np.sort(rng.uniform(*t_range, size=n))
+    with t in [0.25, 2.2) plus a Gaussian-distributed mean."""
+    t = np.sort(rng.uniform(0.25, 2.2, size=n))
     base = thermal_state(t)
     twirled = gaussian_transform(base, random_symplectic(rng, n, max_squeeze))
     mean = rng.normal(scale=mean_scale, size=2 * n)

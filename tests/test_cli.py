@@ -288,6 +288,17 @@ def test_convert_past_the_trace_border(capsys, tmp_path):
     assert np.allclose(back["cov"], 0.5 * np.eye(2))
 
 
+def test_convert_hot_state(capsys, tmp_path):
+    # M's squared pivots are 1e-15 here, below the trace's FORM_MIN_EIG, which
+    # the round trip does not need: M positive definite is enough
+    hot = write(tmp_path, "hot.json", {"n": 1, "mean": [0.3, -0.2], "cov": [[1e15, 0], [0, 1e15]]})
+    code, out, err = run(capsys, ["convert", hot, "--format", "json"])
+    assert code == 0, err
+    back = json.loads(out)["state_roundtrip"]
+    assert back["cov"] == [[1e15, 0.0], [0.0, 1e15]]
+    assert np.allclose(back["mean"], [0.3, -0.2], rtol=1e-15, atol=0.0)
+
+
 def test_convert_overflowing_displacement_exit_2(capsys, tmp_path):
     # from |gamma| = 1.3e154 the kernel scale's |m|^2 overflows: the message
     # names that, not the trace's border, which convert never builds

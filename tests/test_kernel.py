@@ -14,7 +14,7 @@ from gauss_renyi.exceptions import NotTraceClassError, UnphysicalStateError
 from gauss_renyi.kernel import (CoherentKernel, apply_contraction, kernel_to_state, log_kernel_trace,
                                 lower_triangular_inverse, state_to_kernel)
 from gauss_renyi.recipes import phase_congruence
-from gauss_renyi.sampling import random_faithful_state
+from gauss_renyi.sampling import random_faithful_state, random_symplectic
 from gauss_renyi.statefile import json_number, state_to_json
 from gauss_renyi.states import (GaussianState, coherent_state, gaussian_transform,
                                 squeezed_vacuum, tensor, thermal_state)
@@ -72,14 +72,29 @@ def test_squeezed_quadruple(r):
     assert np.allclose(mu, 0.0)
 
 
-@pytest.mark.parametrize("d", [1e2, 1e4, 1e8, 1e10, 1e11])
+@pytest.mark.parametrize("d", [1e2, 1e4, 1e8, 1e10, 1e11, 1e12, 1e15, 1e50, 1e150, 1e300])
 def test_hot_state_round_trip_within_eps_d(d):
     # the kernel's M holds 1/(d + 1/2) to relative rounding, so the round
     # trip of cov = diag(d, d) comes back to a few eps relative (at most
-    # 1.9 eps over 200 random d in [1, 1e11])
+    # 1.9 eps over 200 random d in [1, 1e11], 0.94 eps at these d); M's
+    # smallest squared pivot 1/(d + 1/2) is far below the trace's
+    # FORM_MIN_EIG from d = 1e12, which the round trip does not ask for
     state = GaussianState(np.zeros(2), d * np.eye(2))
     back = kernel_to_state(state_to_kernel(state))
     assert np.max(np.abs(back.cov - state.cov)) / d <= 4 * np.finfo(float).eps
+    assert np.array_equal(back.mean, state.mean)
+
+
+@pytest.mark.parametrize("d", [1e8, 1e10, 3.2e11])
+def test_squeezed_hot_state_round_trip(d):
+    # three modes at d in one frame squeezed by up to e^1: at d = 3.2e11
+    # M's smallest squared pivot is below the trace's FORM_MIN_EIG, which
+    # the round trip does not ask for; 200 d in [1e8, 3.2e11] read at most
+    # 1.8e-15 of max|S|
+    L = random_symplectic(np.random.default_rng(0), 3, 1.0)
+    state = GaussianState(np.zeros(6), d * (L @ L.T))
+    back = kernel_to_state(state_to_kernel(state))
+    assert np.max(np.abs(back.cov - state.cov)) <= 16 * np.finfo(float).eps * np.max(np.abs(state.cov))
     assert np.array_equal(back.mean, state.mean)
 
 
