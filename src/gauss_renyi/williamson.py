@@ -8,12 +8,10 @@ covariance lives here: real, finite, symmetric (SYMMETRY_TOL), positive
 definite, and the verdicts read off d with their thresholds: the Heisenberg
 bound (require_heisenberg) and pure modes (pure_mode_count, d_to_t).
 
-Both the spectrum d and the congruence L come from one Cholesky factor
-S = R R^T, which is also the positive-definiteness test, and one
-hermitian eigensolve of i R^T J R, whose eigenvalues are +-d_j and whose
-+d_j eigenvectors V span the symplectic basis.  Since i R^T (J R) V =
-V diag(d), R^{-T} V = i (J R) V / d carries V back without a solve.
-
+One Cholesky factor S = R R^T, also the positive-definiteness test, gives d
+and the congruence L.  One matrix's d are the singular values of the real
+skew R^T J R, each twice; L and a stack's d come from the hermitian i R^T J R,
+whose +d_j eigenvectors V span the symplectic basis: R^{-T} V = i J R V / d.
 The spectrum of one matrix carries its input's noise floor tau(S), read off
 the same factor (_snap_pure): each d_j within tau of 1/2 is returned as
 exactly 1/2, so the Heisenberg slack is max(PHYSICAL_TOL, tau), and a mode
@@ -106,18 +104,18 @@ def _spectrum(S: np.ndarray, vectors: bool = False):
     """Symplectic eigenvalues d of a symmetric S, descending, and optionally L.
 
     Returns (d, L), L the congruence of the normal form if vectors, else None.
-    Without vectors, S may be a stack (..., 2n, 2n), and d is (..., n).
-    With S = R R^T (Cholesky), R = S^{1/2} Q for an orthogonal Q, so i R^T J R
-    has the spectrum +-d of i S^{1/2} J S^{1/2}.  With V its +d eigenvectors,
-    L = R^{-T} [sqrt2 Im V, sqrt2 Re V] diag(sqrt d, sqrt d): Re and Im of each
-    column are orthogonal with equal norms, so L^T J L = J (Im V as the q block
-    gives +J, not -J), and any orthonormal basis of a degenerate eigenspace
-    works.  No solve is needed: i R^T (J R) V = V diag(d) gives R^{-T} V =
-    i W / d with W = (J R) V, so L = sqrt2 [Re W, -Im W] diag(1/sqrt d, 1/sqrt d).
-    Each column's phase makes V's largest-modulus entry positive imaginary, so
-    L is deterministic.  Raises _NotCovariance when the Cholesky fails.
-    One matrix's d go through _snap_pure; a stack must be a C-contiguous
-    array of the caller's own (_check_symmetric's), which is overwritten.
+    With S = R R^T (Cholesky), R = S^{1/2} Q for an orthogonal Q, so the real
+    skew R^T J R has the singular values d, each twice (one matrix without
+    vectors averages each sorted pair), and i R^T J R the eigenvalues +-d, for
+    a stack's d (..., n) and L.  With V the +d eigenvectors, L = R^{-T}
+    [sqrt2 Im V, sqrt2 Re V] diag(sqrt d, sqrt d): Re and Im of each column are
+    orthogonal with equal norms, so L^T J L = J (Im V as the q block gives +J,
+    not -J), and any orthonormal basis of a degenerate eigenspace works.  No
+    solve is needed: i R^T (J R) V = V diag(d) gives R^{-T} V = i W / d with
+    W = (J R) V, so L = sqrt2 [Re W, -Im W] diag(1/sqrt d, 1/sqrt d).  Each
+    column's phase makes V's largest-modulus entry positive imaginary, so L is
+    deterministic, and a failed Cholesky raises _NotCovariance.  One matrix's d
+    go through _snap_pure; a stack must be a C-contiguous copy it may overwrite.
     """
     try:
         R = np.linalg.cholesky(S)
@@ -130,6 +128,9 @@ def _spectrum(S: np.ndarray, vectors: bool = False):
     out = S if S.ndim > 2 else None
     jr = np.concatenate([R[..., n:, :], -R[..., :n, :]], axis=-2, out=out)
     skew = R.swapaxes(-1, -2) @ jr
+    if not vectors and out is None:  # each d twice: average the sorted pairs
+        sv = np.linalg.svd(skew, compute_uv=False)
+        return _snap_pure(S, R, 0.5 * (sv[::2] + sv[1::2])), None
     if out is not None:
         del R
     diff = np.subtract(skew, skew.swapaxes(-1, -2), out=out)
@@ -137,8 +138,7 @@ def _spectrum(S: np.ndarray, vectors: bool = False):
     herm = 0.5j * diff
     del diff
     if not vectors:
-        d = np.linalg.eigvalsh(herm)[..., ::-1][..., :n]
-        return (d if out is not None else _snap_pure(S, R, d)), None
+        return np.linalg.eigvalsh(herm)[..., ::-1][..., :n], None
     ev, V = np.linalg.eigh(herm)
     d, V = ev[::-1][:n], V[:, ::-1][:, :n]
     top = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
@@ -153,7 +153,7 @@ def _snap_pure(S: np.ndarray, R: np.ndarray, d: np.ndarray) -> np.ndarray:
     max(kappa_s, ||S||_F) with kappa_s = ||D^{-1/2} S D^{-1/2}||_F
     max_i S_ii (S^{-1})_ii, D = diag(S): the rounding of d follows this scaled
     conditioning (Bhatia & Jain, J. Math. Phys. 56 (2015)), and pure modes
-    read at most 1.95 eps max(kappa_s, ||S||_F) (README).  R^{-1}, whose
+    read at most 2.21 eps max(kappa_s, ||S||_F) (README).  R^{-1}, whose
     squared column norms are (S^{-1})_ii, is formed only for a d_j between
     sqrt(2n) <= kappa_s (unit diagonal, S_ii (S^{-1})_ii >= 1) and 2n ||S||_F^2
     / d_min^2 (entries <= 1, lambda_min(S) >= d_min^2 / lambda_max(S))."""

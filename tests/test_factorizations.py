@@ -1,11 +1,12 @@
 """Dense factorizations per evaluation, counted by wrapping numpy/scipy.linalg.
 
-Each quantity of the pipeline has one route.  Per call: a Cholesky and an
-eigensolve per state (physicality of rho, Williamson form of sigma) and one
-Cholesky for the kernel of rho'; that kernel's Lambda is not checked again,
-since rho's physicality already bounds it.  test_factorization_count holds
-the per-call budget (one more than that, 8 and 9 below) and the per-order
-one; test_rho_kernel_factorizations pins the per-call total exactly.  Per
+Each quantity of the pipeline has one route.  Per call: a Cholesky per
+state, one SVD for rho's physicality, one eigensolve for sigma's Williamson
+form, and one Cholesky for the kernel of rho'; that kernel's Lambda is not
+checked again, since rho's physicality already bounds it.
+test_factorization_count holds the per-call budget (one more than that, 8
+and 9 below) and the per-order one, in which no SVD runs;
+test_rho_kernel_factorizations pins the per-call total exactly.  Per
 order: one Cholesky of the contracted kernel's form matrix, which serves
 the trace and, on the fallback branch, the covariance, and the t_Z spectrum
 (one eigensolve, or on the fallback branch the covariance's Cholesky and
@@ -130,12 +131,14 @@ def test_factorization_count(counts, rho, per_call, per_order, branch):
         counts, lambda: entropy.sandwiched_renyi(rho, sigma, 0.5))
     assert fallbacks == branch
     assert single <= per_call
-    assert counts.get("svd", 0) == 0  # the t_Z bound reads Lambda's norm off its eigvalsh
+    assert counts.get("svd", 0) == 1  # rho's check; sigma's Williamson form takes eigh
     one, _ = factorizations(counts, lambda: entropy.sandwiched_renyi_sweep(rho, sigma, [0.5]))
+    one_svd = counts.get("svd", 0)
     three, fallbacks = factorizations(
         counts, lambda: entropy.sandwiched_renyi_sweep(rho, sigma, [0.3, 0.5, 0.7]))
     assert fallbacks == 3 * branch
-    assert counts.get("svd", 0) == 0
+    # the per-order stage runs none: the t_Z bound reads Lambda's norm off its eigvalsh
+    assert counts.get("svd", 0) == one_svd
     assert one == single
     assert (three - one) / 2 <= per_order
 
