@@ -9,9 +9,10 @@ definite, and the verdicts read off d with their thresholds: the Heisenberg
 bound (require_heisenberg) and pure modes (pure_mode_count, d_to_t).
 
 One Cholesky factor S = R R^T, also the positive-definiteness test, gives d
-and the congruence L.  One matrix's d are the singular values of the real
-skew R^T J R, each twice; L and a stack's d come from the hermitian i R^T J R,
-whose +d_j eigenvectors V span the symplectic basis: R^{-T} V = i J R V / d.
+and the congruence L.  d without vectors (rho's check, the t_Z fallback) is
+the smaller of each sorted pair of singular values of the real skew R^T J R;
+L comes from the hermitian i R^T J R, whose +d_j eigenvectors V span the
+symplectic basis: R^{-T} V = i J R V / d.
 The spectrum of one matrix carries its input's noise floor tau(S), read off
 the same factor (_snap_pure): each d_j within tau of 1/2 is returned as
 exactly 1/2, so the Heisenberg slack is max(PHYSICAL_TOL, tau), and a mode
@@ -105,14 +106,15 @@ def _spectrum(S: np.ndarray, vectors: bool = False):
 
     Returns (d, L), L the congruence of the normal form if vectors, else None.
     With S = R R^T (Cholesky), R = S^{1/2} Q for an orthogonal Q, so the real
-    skew R^T J R has the singular values d, each twice (one matrix without
-    vectors averages each sorted pair), and i R^T J R the eigenvalues +-d, for
-    a stack's d (..., n) and L.  With V the +d eigenvectors, L = R^{-T}
-    [sqrt2 Im V, sqrt2 Re V] diag(sqrt d, sqrt d): Re and Im of each column are
-    orthogonal with equal norms, so L^T J L = J (Im V as the q block gives +J,
-    not -J), and any orthonormal basis of a degenerate eigenspace works.  No
-    solve is needed: i R^T (J R) V = V diag(d) gives R^{-T} V = i W / d with
-    W = (J R) V, so L = sqrt2 [Re W, -Im W] diag(1/sqrt d, 1/sqrt d).  Each
+    skew R^T J R has the singular values d, each twice, and i R^T J R the
+    eigenvalues +-d.  Without vectors, d (..., n) is the smaller of each sorted
+    singular pair, which rounds closest to d; the larger reads high (README).
+    With V the +d eigenvectors, L = R^{-T} [sqrt2 Im V, sqrt2 Re V] diag(sqrt d,
+    sqrt d): Re and Im of each column are orthogonal with equal norms, so
+    L^T J L = J (Im V as the q block gives +J, not -J), and any orthonormal
+    basis of a degenerate eigenspace works.  No solve is needed: i R^T (J R) V
+    = V diag(d) gives R^{-T} V = i W / d with W = (J R) V, so
+    L = sqrt2 [Re W, -Im W] diag(1/sqrt d, 1/sqrt d).  Each
     column's phase makes V's largest-modulus entry positive imaginary, so L is
     deterministic, and a failed Cholesky raises _NotCovariance.  One matrix's d
     go through _snap_pure; a stack must be a C-contiguous copy it may overwrite.
@@ -123,23 +125,17 @@ def _spectrum(S: np.ndarray, vectors: bool = False):
         min_eig = float(np.min(np.linalg.eigvalsh(S)[..., 0]))
         raise _NotCovariance(f"not positive definite: min eigenvalue {min_eig:.3e}") from None
     n = S.shape[-1] // 2
-    # J R: R's row blocks swapped, one negated.  A stack's buffer holds J R, then
-    # skew - skew^T, each freed once the next exists; one matrix keeps S and R
-    out = S if S.ndim > 2 else None
-    jr = np.concatenate([R[..., n:, :], -R[..., :n, :]], axis=-2, out=out)
+    # J R: R's row blocks swapped, one negated.  A stack's buffer holds J R, and
+    # R is freed once the skew exists; one matrix keeps S and R for _snap_pure
+    stack = S.ndim > 2
+    jr = np.concatenate([R[..., n:, :], -R[..., :n, :]], axis=-2, out=S if stack else None)
     skew = R.swapaxes(-1, -2) @ jr
-    if not vectors and out is None:  # each d twice: average the sorted pairs
-        sv = np.linalg.svd(skew, compute_uv=False)
-        return _snap_pure(S, R, 0.5 * (sv[::2] + sv[1::2])), None
-    if out is not None:
-        del R
-    diff = np.subtract(skew, skew.swapaxes(-1, -2), out=out)
-    del skew
-    herm = 0.5j * diff
-    del diff
-    if not vectors:
-        return np.linalg.eigvalsh(herm)[..., ::-1][..., :n], None
-    ev, V = np.linalg.eigh(herm)
+    if not vectors:  # each d twice: the smaller of each sorted pair
+        if stack:
+            del R
+            return np.linalg.svd(skew, compute_uv=False)[..., 1::2], None
+        return _snap_pure(S, R, np.linalg.svd(skew, compute_uv=False)[1::2]), None
+    ev, V = np.linalg.eigh(0.5j * (skew - skew.T))
     d, V = ev[::-1][:n], V[:, ::-1][:, :n]
     top = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
     V = V * (1j * top.conj() / np.abs(top))

@@ -124,21 +124,25 @@ def test_unitary_invariance(rng):
         assert abs(d0 - d1) < 1e-8
 
 
-def test_joint_unitary_invariance_at_small_alpha():
+@pytest.mark.parametrize("alpha,bound", [(0.05, 1e-3), (0.1, 1e-8)])
+def test_joint_unitary_invariance_at_small_alpha(alpha, bound):
     # pins COV_GAP_FLOOR's role in the t_Z fallback: it snaps to 1/2 the
-    # d - 1/2 that are eigensolver noise, which differs from frame to frame.
-    # The spread reads 6.8e-5 (median 2.7e-6) with the snap and 1.2 (median
-    # 0.11) without it.  ROADMAP item 5's one t_Z route should tighten 1e-3.
+    # d - 1/2 that are rounding noise, which differs from frame to frame.
+    # At alpha = 0.05 the spread reads 5.3e-5 (median 8.5e-7) with the snap
+    # and 0.6 (median 0.015) without it; ROADMAP item 5's one t_Z route
+    # should tighten 1e-3.  At alpha = 0.1 it reads 6.4e-9 against criterion
+    # 7's 1e-8: the fallback takes the smaller value of each singular pair
+    # (the complex eigensolve it replaced read 3.2e-8).
     spread = []
     for seed in range(40):
         rng = np.random.default_rng(5000 + seed)
         rho, sigma = random_faithful_state(rng, 8), random_faithful_state(rng, 8)
         L, shift = random_symplectic(rng, 8), rng.normal(scale=0.5, size=16)
-        d0 = sandwiched_renyi(rho, sigma, 0.05).divergence
+        d0 = sandwiched_renyi(rho, sigma, alpha).divergence
         d1 = sandwiched_renyi(gaussian_transform(rho, L, shift=shift),
-                              gaussian_transform(sigma, L, shift=shift), 0.05).divergence
+                              gaussian_transform(sigma, L, shift=shift), alpha).divergence
         spread.append(abs(d1 - d0) / d0)
-    assert max(spread) <= 1e-3, (int(np.argmax(spread)), max(spread))
+    assert max(spread) <= bound, (int(np.argmax(spread)), max(spread))
 
 
 def _test_channels(rng, n: int) -> dict:

@@ -5,12 +5,14 @@ state, one SVD for rho's physicality, one eigensolve for sigma's Williamson
 form, and one Cholesky for the kernel of rho'; that kernel's Lambda is not
 checked again, since rho's physicality already bounds it.
 test_factorization_count holds the per-call budget (one more than that, 8
-and 9 below) and the per-order one, in which no SVD runs;
+and 9 below) and the per-order one, and pins the route: every symplectic
+spectrum without vectors is an SVD, so a call runs one SVD plus one per
+fallback order, a fallback order no eigvalsh, and a pair-free order no SVD;
 test_rho_kernel_factorizations pins the per-call total exactly.  Per
 order: one Cholesky of the contracted kernel's form matrix, which serves
 the trace and, on the fallback branch, the covariance, and the t_Z spectrum
-(one eigensolve, or on the fallback branch the covariance's Cholesky and
-one eigensolve).  The contracted kernel's Lambda is not checked again.
+(one eigvalsh of K Lambda K, or on the fallback branch the covariance's
+Cholesky and one SVD).  The contracted kernel's Lambda is not checked again.
 A pure rho skips the t_Z spectrum (every t_Z is inf): 6 per call, and per
 order the trace's Cholesky alone.  A mode is pure iff its d <= 1/2, so a
 rho whose every d sits within the Heisenberg slack below 1/2 costs the same.
@@ -131,14 +133,18 @@ def test_factorization_count(counts, rho, per_call, per_order, branch):
         counts, lambda: entropy.sandwiched_renyi(rho, sigma, 0.5))
     assert fallbacks == branch
     assert single <= per_call
-    assert counts.get("svd", 0) == 1  # rho's check; sigma's Williamson form takes eigh
+    # rho's check and each fallback order; sigma's Williamson form takes eigh
+    assert counts.get("svd", 0) == 1 + branch
     one, _ = factorizations(counts, lambda: entropy.sandwiched_renyi_sweep(rho, sigma, [0.5]))
-    one_svd = counts.get("svd", 0)
+    one_svd, one_eigvalsh = counts.get("svd", 0), counts.get("eigvalsh", 0)
     three, fallbacks = factorizations(
         counts, lambda: entropy.sandwiched_renyi_sweep(rho, sigma, [0.3, 0.5, 0.7]))
     assert fallbacks == 3 * branch
-    # the per-order stage runs none: the t_Z bound reads Lambda's norm off its eigvalsh
-    assert counts.get("svd", 0) == one_svd
+    # a fallback order runs one SVD and no eigvalsh; a pair-free order runs no
+    # SVD, since the t_Z bound reads Lambda's norm off its eigvalsh
+    assert counts.get("svd", 0) - one_svd == 2 * branch
+    if branch:
+        assert counts.get("eigvalsh", 0) == one_eigvalsh
     assert one == single
     assert (three - one) / 2 <= per_order
 

@@ -191,11 +191,10 @@ def _spectrum_cases():
 
 
 def test_single_spectrum_agrees_with_stacked_route():
-    # rho's check reads d off one real SVD of R^T J R, the stacked route (the
-    # t_Z fallback's) off a complex hermitian eigensolve of i R^T J R: the two
-    # agree to the snap's rounding scale, and the snapped stacked spectrum
-    # counts the same pure modes.  The 94 cases read at most 1.59 of these
-    # units with NumPy 2.4 and OpenBLAS.
+    # rho's check and the stacked route (the t_Z fallback's) both read d off
+    # one real SVD of R^T J R, the smaller value of each pair; only one matrix
+    # is snapped.  The two agree to the snap's rounding scale, and the snapped
+    # stacked spectrum counts the same pure modes.
     for label, cov, pure in _spectrum_cases():
         cov = 0.5 * (cov + cov.T)
         single, stacked = symplectic_eigenvalues(cov), symplectic_eigenvalues(cov[None])[0]
