@@ -46,7 +46,7 @@ from .williamson import (PURE_TOL, d_to_t, pure_mode_count, symplectic_eigenvalu
 #: order's is at most 4 ||K A K||_F^2 / (1 - ||K Lambda K||_2^2) (equal for
 #: one mode), and this is that bound at |K A K| = 1e-7, ||K Lambda K||_2 = 1/2
 PAIR_FREE_ERROR = 4 * 1e-7 ** 2 / (1 - 0.5 ** 2)
-#: covariance-path gaps |d - 1/2| up to this are rounding noise: d is 1/2
+#: a covariance-path d - 1/2 up to this, or below 0, is rounding noise: d is 1/2
 COV_GAP_FLOOR = 1e-13
 #: entries of the 2n x 2n form matrices stacked per pass of the per-order
 #: stage, which bounds a sweep's memory (a real stack of 256 KiB): every order
@@ -152,12 +152,12 @@ def _contracted_thermal_parameters(z: ContractedKernel) -> np.ndarray:
     the orders above PAIR_FREE_ERROR itself; the stacked eigvalsh of the
     rest gives the 2-norm as its largest modulus.  The other orders fall
     back on the symplectic spectrum of the covariance, one stacked real SVD
-    (williamson._spectrum), whose gap above 1/2 resolves e^(-t_Z) only down
-    to its rounding.  It is taken of M^{-1} - I/2 = J S J^T, which has the
-    spectrum of the covariance S without its J-congruence, and M^{-1} comes
-    from the form-matrix Cholesky factor that log_kernel_trace has taken.
-    That matrix is handed on unnamed, so the spectrum's stage frees it once
-    it has its symmetrized copy.
+    (williamson._spectrum), whose gap above 1/2 resolves e^(-t_Z) only down to
+    its rounding: a gap up to COV_GAP_FLOOR, or below 0, gives t_Z = inf, with
+    no Heisenberg verdict.  It is taken of M^{-1} - I/2 = J S J^T, which has
+    the spectrum of the covariance S without its J-congruence; M^{-1} comes
+    from log_kernel_trace's form-matrix Cholesky factor and, handed on
+    unnamed, is freed once the spectrum's stage has its symmetrized copy.
     """
     k, (p11, p21, q11, q12) = z.k, z.parent._halves
     t = np.empty(k.shape)
@@ -173,8 +173,7 @@ def _contracted_thermal_parameters(z: ContractedKernel) -> np.ndarray:
         t[free] = np.where(lam > 0.0, -np.log(np.where(lam > 0.0, lam, 1.0)), np.inf)
     if not free.all():
         d = symplectic_eigenvalues(form_inverse(z, ~free) - 0.5 * np.eye(2 * k.shape[-1]))
-        d[abs(d - 0.5) <= COV_GAP_FLOOR] = 0.5
-        t[~free] = d_to_t(d)
+        t[~free] = d_to_t(np.where(d - 0.5 > COV_GAP_FLOOR, d, 0.5))
     t.sort(axis=-1)
     return t
 

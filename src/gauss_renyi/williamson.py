@@ -5,8 +5,8 @@ diagonal form D = diag(d_1..d_n, d_1..d_n) by a symplectic congruence
 L^T S L = D.  For a physical covariance the d_j are >= 1/2 and map to
 per-mode thermal parameters t_j via d = coth(t/2)/2.  Every check of a
 covariance lives here: real, finite, symmetric (SYMMETRY_TOL), positive
-definite, and the verdicts read off d with their thresholds: the Heisenberg
-bound (require_heisenberg) and pure modes (pure_mode_count, d_to_t).
+definite, and the verdicts on an input's d: the Heisenberg bound (require_heisenberg,
+run by williamson_decompose and rho's check) and pure modes (pure_mode_count).
 
 One Cholesky factor S = R R^T, also the positive-definiteness test, gives d
 and the congruence L.  d without vectors (rho's check, the t_Z fallback) is
@@ -194,11 +194,10 @@ def d_to_t(d):
     """Map symplectic eigenvalues to thermal parameters, t = ln((d+1/2)/(d-1/2)),
     elementwise over an array of any shape.
 
-    Pure modes, d <= 1/2, map to inf; values below 1/2 - PHYSICAL_TOL
-    raise UnphysicalStateError.
+    Every d <= 1/2 maps to inf.  It judges nothing: an input state's spectrum
+    goes through require_heisenberg first, the pipeline's own spectra do not.
     """
     d = np.asarray(d, dtype=float)
-    require_heisenberg(d)
     gap = d - 0.5
     t = np.where(gap > 0, np.log1p(1.0 / np.where(gap > 0, gap, 1.0)), np.inf)
     return t if t.ndim else float(t)
@@ -236,16 +235,17 @@ def williamson_decompose(S: np.ndarray) -> WilliamsonForm:
 
     The congruence matrix is read off the eigenvectors of the hermitian
     i R^T J R, with S = R R^T (see _spectrum), so degenerate symplectic
-    eigenvalues need no special handling.  Raises DecompositionError if S
-    is not positive definite or the symplectic or (relative)
-    diagonalization residues exceed tolerance, and UnphysicalStateError below the Heisenberg bound.
+    eigenvalues need no special handling.  Raises DecompositionError if S is
+    not positive definite or a symplectic or (relative) diagonalization residue
+    exceeds tolerance, and UnphysicalStateError if d fails require_heisenberg.
     """
     S = _check_symmetric(S)
     if S.ndim > 2:
         raise ValueError(f"expected one 2n x 2n matrix, got a stack of shape {S.shape}")
     n = S.shape[0] // 2
     d, L = _spectrum(S, vectors=True)
-    t = d_to_t(d)  # raises UnphysicalStateError below the Heisenberg bound
+    require_heisenberg(d)
+    t = d_to_t(d)
 
     # J L is L's row blocks swapped, one negated: one product, none with J
     res_j = float(abs(L.T @ np.concatenate([L[n:], -L[:n]]) - symplectic_form(n)).max())

@@ -55,6 +55,25 @@ def analytic_coherent_thermal(gamma: complex, s: float, alpha: float) -> float:
     return -log1mexp(s) + alpha / (1.0 - alpha) * abs(gamma) ** 2 * shrink
 
 
+def pure_product_divergence(modes, s, alpha: float) -> float:
+    """Rank-one closed form for a product of coherent (complex gamma) and
+    squeezed-vacuum (real r) modes against thermal(s):
+    D = alpha/(alpha-1) ln <psi| sigma^p |psi>, p = (1-alpha)/alpha, with
+    sigma^p = (1-e^-s)^p e^(-p s N) per mode, <gamma|e^(-xN)|gamma> =
+    exp(-|gamma|^2 (1-e^-x)) and <r|e^(-xN)|r> = 1/(cosh r sqrt(1-tanh^2 r e^-2x))
+    from the squeezed vacuum's photon-number generating function."""
+    p = (1.0 - alpha) / alpha
+    ln_overlap = 0.0
+    for mode, sj in zip(modes, s):
+        ln_overlap += p * math.log(-math.expm1(-sj))
+        if isinstance(mode, complex):
+            ln_overlap += abs(mode) ** 2 * math.expm1(-p * sj)
+        else:
+            ln_overlap -= (math.log(math.cosh(mode))
+                           + 0.5 * math.log1p(-math.tanh(mode) ** 2 * math.exp(-2.0 * p * sj)))
+    return alpha / (alpha - 1.0) * ln_overlap
+
+
 def omega(n: int) -> np.ndarray:
     """Symplectic form [[0, I], [-I, 0]] in the (Re, Im) block ordering."""
     J = np.zeros((2 * n, 2 * n))

@@ -15,7 +15,7 @@ from gauss_renyi.states import (GaussianState, coherent_state,
                                 require_physical, squeezed_vacuum,
                                 tensor, thermal_state,
                                 validate_state)
-from gauss_renyi.williamson import d_to_t, symplectic_form
+from gauss_renyi.williamson import require_heisenberg, symplectic_form
 
 LN2 = math.log(2.0)
 
@@ -139,7 +139,7 @@ def test_heisenberg_message_shows_distance_below_bound():
     expected = ("symplectic eigenvalue d = 0.5 - 5e-10 is below the Heisenberg "
                 "bound 0.5 by more than the slack PHYSICAL_TOL = 1e-10")
     with pytest.raises(UnphysicalStateError) as err:
-        d_to_t(np.array([1.0, d]))
+        require_heisenberg(np.array([1.0, d]))
     assert str(err.value) == expected
     with pytest.raises(UnphysicalStateError) as err:
         require_physical(GaussianState(np.zeros(2), d * np.eye(2)))

@@ -10,8 +10,9 @@ from gauss_renyi.exceptions import DecompositionError, UnphysicalStateError
 from gauss_renyi.sampling import random_faithful_state, random_symplectic
 from gauss_renyi.states import (MAX_SQUEEZE, gaussian_transform, squeezed_vacuum, tensor,
                                 thermal_state)
-from gauss_renyi.williamson import (WilliamsonForm, _snap_pure, d_to_t, pure_mode_count,
-                                    symplectic_eigenvalues, t_to_d, williamson_decompose)
+from gauss_renyi.williamson import (WilliamsonForm, _check_symmetric, _spectrum, d_to_t,
+                                    pure_mode_count, require_heisenberg, symplectic_eigenvalues,
+                                    t_to_d, williamson_decompose)
 
 LN2 = math.log(2.0)
 
@@ -36,10 +37,15 @@ def test_d_t_round_trip():
 
 
 @pytest.mark.parametrize("d", [0.49, np.nan])
-def test_d_to_t_rejects_sub_heisenberg(d):
+def test_require_heisenberg_rejects_sub_heisenberg(d):
     # NaN compares false with the bound, so the check must not read "d < bound"
     with pytest.raises(UnphysicalStateError, match="NaN" if np.isnan(d) else "below"):
-        d_to_t(d)
+        require_heisenberg(np.array([d]))
+
+
+def test_d_to_t_judges_nothing():
+    # the verdict is require_heisenberg's, on input states: d_to_t only maps
+    assert d_to_t(0.49) == math.inf
 
 
 def test_symplectic_eigenvalues_thermal():
@@ -190,14 +196,17 @@ def _spectrum_cases():
                 state, random_symplectic(rng, 2)).cov, 1
 
 
-def test_single_spectrum_agrees_with_stacked_route():
-    # rho's check and the stacked route (the t_Z fallback's) both read d off
-    # one real SVD of R^T J R, the smaller value of each pair; only one matrix
-    # is snapped.  The two agree to the snap's rounding scale, and the snapped
-    # stacked spectrum counts the same pure modes.
+def test_svd_spectra_agree_with_hermitian_eigensolve():
+    # rho's check and the stacked route (the t_Z fallback's) read d off one
+    # real SVD of R^T J R, the smaller value of each pair, and only one matrix
+    # is snapped; williamson_decompose reads d off the hermitian eigensolve of
+    # i R^T J R, also snapped.  Both SVD spectra agree with that independent
+    # route to the snap's rounding scale, and the snapped ones count the same
+    # pure modes
     for label, cov, pure in _spectrum_cases():
         cov = 0.5 * (cov + cov.T)
+        hermitian = _spectrum(_check_symmetric(cov), vectors=True)[0]
         single, stacked = symplectic_eigenvalues(cov), symplectic_eigenvalues(cov[None])[0]
-        assert abs(single - stacked).max() <= 2 * 2.0 ** -52 * _scale(cov), label
-        snapped = _snap_pure(cov, np.linalg.cholesky(cov), stacked)
-        assert pure_mode_count(single) == pure_mode_count(snapped) == pure, label
+        for d in (single, stacked):
+            assert abs(d - hermitian).max() <= 2 * 2.0 ** -52 * _scale(cov), label
+        assert pure_mode_count(single) == pure_mode_count(hermitian) == pure, label
